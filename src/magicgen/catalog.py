@@ -49,12 +49,6 @@ def catalog_text(squares: Iterable[Square], order: int) -> str:
     return "\n".join(lines)
 
 
-def write_catalog(path: str | os.PathLike, squares: Iterable[Square], order: int) -> int:
-    squares = list(squares)
-    write_atomic(path, catalog_text(squares, order))
-    return len(squares)
-
-
 def read_catalog(path: str | os.PathLike, order: int | None = None) -> list[Square]:
     return [parse_square(line, order) for line in _data_lines(Path(path))]
 
@@ -144,12 +138,6 @@ def classification_text(records: Iterable[CatalogRecord], fmt: str = "tsv") -> s
             )
     lines.append("")
     return "\n".join(lines)
-
-
-def write_classification(
-    path: str | os.PathLike, records: Iterable[CatalogRecord], fmt: str = "tsv"
-) -> None:
-    write_atomic(path, classification_text(records, fmt))
 
 
 def _record_from_fields(fields: dict[str, str]) -> CatalogRecord:

@@ -21,7 +21,7 @@ the 12 classes from a full catalog, and names them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .constraints import dependent_cells_order4, validate_grid
 from .squares import (
@@ -30,6 +30,7 @@ from .squares import (
     complement_pairs,
     encode_square,
     grid_symmetries,
+    is_normal_magic,
     magic_constant,
 )
 
@@ -134,13 +135,19 @@ def discover_classes(catalog: Iterable[Square]) -> tuple[SignatureClass, ...]:
     """Partition a complete order-4 catalog by signature.
 
     Returns the classes sorted by their smallest member encoding.  Raises
-    if the catalog is not the full census (7040 squares, 12 classes).
+    if the catalog is not the full census: a repeated or non-magic square,
+    or other than 7040 squares in 12 classes.
     """
     buckets: dict[PairingSignature, list[Square]] = {}
-    total = 0
+    seen: set[tuple[int, ...]] = set()
     for sq in catalog:
+        if sq.cells in seen:
+            raise ValueError(f"catalog repeats the square {encode_square(sq)}")
+        if not is_normal_magic(sq):
+            raise ValueError(f"catalog holds a non-magic square {encode_square(sq)}")
+        seen.add(sq.cells)
         buckets.setdefault(signature(sq), []).append(sq)
-        total += 1
+    total = len(seen)
     if total != 7040:
         raise ValueError(f"incomplete catalog: {total} squares, expected 7040")
     if len(buckets) != 12:
@@ -172,14 +179,12 @@ def assign_labels(
     return labels
 
 
-def split_type_vi(
-    square: Square, labels: Mapping[PairingSignature, ClassLabel]
-) -> str:
-    """VI'' iff some broken diagonal sums to 34; only valid for class VI."""
-    label = labels[signature(square)]
+def _with_vi_split(label: ClassLabel, square: Square) -> ClassLabel:
+    """Attach VI'' (some broken diagonal sums to 34) or VI' to a class-VI label."""
     if label.dudeney != "VI":
-        raise ValueError(f"square is class {label.dudeney}, not VI")
-    return VI_SPLIT_BROKEN if count_magic_broken_diagonals(square) else VI_SPLIT_PLAIN
+        return label
+    split = VI_SPLIT_BROKEN if count_magic_broken_diagonals(square) else VI_SPLIT_PLAIN
+    return ClassLabel(label.dudeney, label.trigg, split)
 
 
 class DudeneyCensus:
@@ -203,15 +208,7 @@ class DudeneyCensus:
 
     def label_of(self, square: Square) -> ClassLabel:
         """Full-path classification (signature lookup, VI split included)."""
-        label = self.labels[signature(square)]
-        if label.dudeney != "VI":
-            return label
-        split = (
-            VI_SPLIT_BROKEN
-            if count_magic_broken_diagonals(square)
-            else VI_SPLIT_PLAIN
-        )
-        return ClassLabel(label.dudeney, label.trigg, split)
+        return _with_vi_split(self.labels[signature(square)], square)
 
     def population(self, numeral: str) -> int:
         return self.class_by_numeral[numeral].population
@@ -306,9 +303,4 @@ class FastClassifier:
         if label is None:
             self.fallbacks += 1
             return self._census.label_of(square)
-        split = (
-            VI_SPLIT_BROKEN
-            if count_magic_broken_diagonals(square)
-            else VI_SPLIT_PLAIN
-        )
-        return ClassLabel(label.dudeney, label.trigg, split)
+        return _with_vi_split(label, square)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .constraints import build_system
 from .squares import Square, magic_constant
@@ -522,17 +522,6 @@ def iter_squares(n: int, shard: Shard | None = None) -> Iterator[Square]:
     """
     for cells in _raw_iter(n, shard):
         yield Square(n, cells)
-
-
-def enumerate_squares(
-    n: int, sink: Callable[[Square], None], shard: Shard | None = None
-) -> int:
-    """Feed every square to `sink`; returns the number emitted."""
-    count = 0
-    for square in iter_squares(n, shard):
-        sink(square)
-        count += 1
-    return count
 
 
 def count_squares(n: int, shard: Shard | None = None) -> int:

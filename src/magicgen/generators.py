@@ -7,16 +7,17 @@ Two decompositions are computed and reported side by side:
   but finer than the published census.
 
 * symmetric_closure_partition(): equivalence classes of "some candidate
-  triple maps one square to the other", i.e. orbits of the full
-  (row perm, col perm, transpose) universe restricted to the class.
-  Peeling a class this way -- expand every triple image of the smallest
-  unassigned square, delete the magic ones, repeat -- reproduces the
-  published generator counts exactly (95 for order 4, with Trigg class
-  histograms A: 3x384, B: 12x192 + 4x96 + 10x64 + 20x32, C: 12x64 +
-  32x32, D: 2x64), so the census headlines it.
+  (row perm, col perm, transpose) triple maps one square to the other",
+  found by grouping the class on groups.canonical_key, the closed-form
+  smallest image.  It reproduces the published generator counts exactly
+  (95 for order 4, with Trigg class histograms A: 3x384, B: 12x192 +
+  4x96 + 10x64 + 20x32, C: 12x64 + 32x32, D: 2x64), so the census
+  headlines it.  census() checks that no such class spans two Trigg
+  classes: the generators' keys must be distinct across all four.
 
-Both are OrbitPartitions that pass verify_partition; the closure view's
-generators are pairwise non-symmetric even under the full universe.
+Both are OrbitPartitions that pass verify_partition, which checks every
+generator pair for symmetry: the closure view's generators are pairwise
+non-symmetric even under the full universe.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from .classifier import DudeneyCensus
 from .groups import (
     Orbit,
     TransformationGroup,
-    _universe_maps,
+    canonical_key,
     orbit,
     symmetry_group,
 )
-from .squares import Square, Transformation, _is_magic_grid, encode_square
+from .squares import Square, Transformation, encode_square
 
 # Published census targets for the order-4 space: orbit-size histogram per
 # Trigg class under symmetric closure, and the generator total.
@@ -104,38 +105,23 @@ def symmetric_closure_partition(
     subject: Iterable[Square],
     subject_name: str = "",
 ) -> OrbitPartition:
-    """Partition the subject by full-universe reachability.
+    """Partition the subject into classes of mutually symmetric squares.
 
-    Each part is {images of one square under all candidate triples}
-    intersected with the subject; a magic image escaping the subject
-    means the subject is not closed under symmetry and raises.
+    Squares are grouped by canonical_key; each part's generator is its
+    smallest-encoding member, and parts come in ascending generator
+    encoding.  Whether a magic image escapes the subject is not checked
+    here: census() checks that across the Trigg classes.
     """
-    items = sorted(((encode_square(sq), sq) for sq in subject), key=lambda e: e[0])
-    if not items:
+    parts: dict[str, list[Square]] = {}
+    for sq in subject:
+        parts.setdefault(canonical_key(sq), []).append(sq)
+    if not parts:
         raise ValueError("subject is empty")
-    n = items[0][1].order
-    index = {sq.cells: sq for _, sq in items}
-    maps = [cmap for _, cmap in _universe_maps(n)]
-    orbits: list[Orbit] = []
-    assigned: set[tuple[int, ...]] = set()
-    for enc, sq in items:
-        if sq.cells in assigned:
-            continue
-        cells = sq.cells
-        reach = {tuple(cells[i] for i in cmap) for cmap in maps}
-        members = []
-        for r in reach:
-            hit = index.get(r)
-            if hit is not None:
-                members.append(hit)
-            elif _is_magic_grid(r, n):
-                raise ValueError(
-                    "subject is not closed under symmetric reachability: "
-                    f"{' '.join(map(str, r))} is magic but outside the subject"
-                )
-        orb = Orbit(frozenset(members), sq)
-        orbits.append(orb)
-        assigned.update(m.cells for m in orb.members)
+    orbits = [
+        Orbit(frozenset(members), min(members, key=encode_square))
+        for members in parts.values()
+    ]
+    orbits.sort(key=lambda o: encode_square(o.generator))
     return OrbitPartition(subject_name, "closure", tuple(orbits))
 
 
@@ -149,14 +135,16 @@ def verify_partition(
     partition: OrbitPartition,
     subject: Iterable[Square],
     transformations: Sequence[Transformation] | None = None,
-    pair_sample_cap: int = 150,
 ) -> PartitionVerdict:
     """Independently re-check a partition.
 
     Verifies disjointness, exact coverage of the subject, that each
-    generator is its orbit's encoding minimum, and that sampled generator
-    pairs are non-symmetric under `transformations` (the full candidate
-    universe when omitted).  Returns a verdict instead of raising.
+    generator is its orbit's encoding minimum, and that no two generators
+    are symmetric under `transformations`.  Every generator pair is
+    checked: by distinct canonical keys for the full candidate universe
+    (when `transformations` is omitted), otherwise by mapping each
+    generator through every given triple.  Returns a verdict instead of
+    raising.
     """
     problems: list[str] = []
     subject_cells = {sq.cells for sq in subject}
@@ -182,26 +170,26 @@ def verify_partition(
             break
 
     gens = partition.generators()
-    if len(gens) > 1:
-        if transformations is None:
-            n = gens[0].order
-            maps = [cmap for _, cmap in _universe_maps(n)]
-        else:
-            maps = [t.cell_map() for t in transformations]
-        pairs = [
-            (i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
-        ]
-        if len(pairs) > pair_sample_cap:
-            stride = len(pairs) // pair_sample_cap + 1
-            pairs = pairs[::stride]
-        for i, j in pairs:
-            src = gens[i].cells
-            target = gens[j].cells
-            if any(tuple(src[k] for k in cmap) == target for cmap in maps):
-                problems.append(
-                    f"generators {i} and {j} are symmetric to each other"
-                )
+    clash = None
+    if transformations is None:
+        first: dict[str, int] = {}
+        for j, g in enumerate(gens):
+            i = first.setdefault(canonical_key(g), j)
+            if i != j:
+                clash = (i, j)
                 break
+    else:
+        maps = [t.cell_map() for t in transformations]
+        index = {g.cells: j for j, g in enumerate(gens)}
+        for i, g in enumerate(gens):
+            src = g.cells
+            hits = {index.get(tuple(src[k] for k in cmap), i) for cmap in maps} - {i}
+            if hits:
+                clash = (i, min(hits))
+                break
+    if clash is not None:
+        i, j = clash
+        problems.append(f"generators {i} and {j} are symmetric to each other")
     return PartitionVerdict(not problems, tuple(problems))
 
 
@@ -292,6 +280,18 @@ def census(dudeney: DudeneyCensus) -> GeneratorCensus:
                 Discrepancy(name, "orbit_histogram", repr(expected), repr(got))
             )
         classes.append(cls)
+    # The catalog behind a DudeneyCensus is complete, so every magic image
+    # of a member lies in some Trigg class; it lies in another class iff
+    # two classes hold generators with one key.
+    owner: dict[str, str] = {}
+    for cls in classes:
+        for orb in cls.closure_partition.orbits:
+            prior = owner.setdefault(canonical_key(orb.generator), cls.letter)
+            if prior != cls.letter:
+                raise ValueError(
+                    f"symmetric squares lie in Trigg classes {prior} and "
+                    f"{cls.letter}: {encode_square(orb.generator)}"
+                )
     result = GeneratorCensus(tuple(classes), tuple(discrepancies))
     if result.total_generators != REFERENCE_TOTAL_GENERATORS and not discrepancies:
         raise AssertionError("totals disagree but no histogram discrepancy recorded")

@@ -10,6 +10,10 @@ is returned.
 Orbits of that action partition G, and each orbit's designated
 representative (its generator) is the member with the smallest canonical
 text encoding.
+
+Two squares are symmetric when some candidate triple maps one onto the
+other; canonical_key names each such class in closed form, without the
+universe.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .squares import Square, Transformation, encode_square
 
@@ -136,29 +140,37 @@ def symmetry_group(squares: Iterable[Square]) -> TransformationGroup:
     for t in members:
         if t.inverse() not in member_set:
             raise GroupClosureError(f"inverse of {t} missing")
-    for t1 in members:
-        for t2 in members:
-            if t1.after(t2) not in member_set:
+    # Composed on cell maps: t1 after t2 reads cell i from m2[m1[i]].
+    maps = {cmap for _, cmap in survivors}
+    for t1, m1 in survivors:
+        for t2, m2 in survivors:
+            if tuple(m2[i] for i in m1) not in maps:
                 raise GroupClosureError(f"composition {t1} after {t2} missing")
     return TransformationGroup(members, index, order)
 
 
-def are_symmetric(
-    a: Square,
-    b: Square,
-    universe: Sequence[Transformation] | None = None,
-) -> bool:
-    """True iff some universe triple maps a to b."""
-    if a.order != b.order:
-        raise ValueError("squares have different orders")
-    target = b.cells
-    src = a.cells
-    if universe is None:
-        for _, cmap in _universe_maps(a.order):
-            if tuple(src[i] for i in cmap) == target:
-                return True
-        return False
-    return any(t.apply(a).cells == target for t in universe)
+def canonical_key(square: Square) -> str:
+    """Smallest encode_square text among the square's candidate-triple images.
+
+    Two squares are symmetric (some row perm x column perm x transpose
+    triple maps one onto the other) iff their keys are equal.  The values
+    are distinct, so the minimum is fixed step by step: the smallest token
+    "1" goes to (0, 0); its row, being the first n tokens, is ordered
+    ascending, which fixes the column order; the rows below are then
+    ordered by their first token.  Tokens compare as strings, as they do
+    inside encodings ("10" < "2"), because a space sorts before every
+    digit.  Both transpose choices are tried and the smaller text is kept.
+    """
+    n = square.order
+    tokens = [str(v) for v in square.cells]
+    rows = [tokens[r * n : (r + 1) * n] for r in range(n)]
+    r1, c1 = divmod(square.cells.index(1), n)
+    keys = []
+    for grid, r, c in ((rows, r1, c1), (list(zip(*rows)), c1, r1)):
+        col_order = sorted(range(n), key=lambda j: grid[r][j])
+        row_order = sorted(range(n), key=lambda i: grid[i][c])
+        keys.append(" ".join(grid[i][j] for i in row_order for j in col_order))
+    return min(keys)
 
 
 @dataclass(frozen=True)

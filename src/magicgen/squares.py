@@ -70,26 +70,6 @@ class Square:
             yield self.row(r)
 
 
-@dataclass(frozen=True, slots=True)
-class MagicSquare:
-    """A square certified magic, carrying its magic constant."""
-
-    square: Square
-    mu: int
-
-    def __post_init__(self) -> None:
-        if self.mu != magic_constant(self.square.order):
-            raise ValueError(
-                f"magic constant {self.mu} does not match order {self.square.order}"
-            )
-        if not is_normal_magic(self.square):
-            raise ValueError("square is not magic: some line misses the constant")
-
-    @classmethod
-    def from_square(cls, square: Square) -> "MagicSquare":
-        return cls(square, magic_constant(square.order))
-
-
 def encode_square(square: Square) -> str:
     """Canonical one-line text encoding: cell values, row-major."""
     return " ".join(str(v) for v in square.cells)

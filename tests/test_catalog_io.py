@@ -4,12 +4,12 @@ import pytest
 
 from magicgen.catalog import (
     CatalogRecord,
+    catalog_text,
     classification_text,
     read_catalog,
     read_classification,
     verify_catalog,
-    write_catalog,
-    write_classification,
+    write_atomic,
 )
 from magicgen.enumerator import iter_squares
 
@@ -17,7 +17,7 @@ from magicgen.enumerator import iter_squares
 @pytest.fixture
 def catalog3_path(tmp_path):
     path = tmp_path / "catalog3.txt"
-    write_catalog(path, iter_squares(3), 3)
+    write_atomic(path, catalog_text(iter_squares(3), 3))
     return path
 
 
@@ -70,7 +70,7 @@ RECORDS = [
 @pytest.mark.parametrize("fmt", ["tsv", "kv"])
 def test_classification_round_trip(tmp_path, fmt):
     path = tmp_path / f"classes.{fmt}"
-    write_classification(path, RECORDS, fmt)
+    write_atomic(path, classification_text(RECORDS, fmt))
     back = read_classification(path)
     assert back == RECORDS
 

@@ -19,9 +19,9 @@ from magicgen.classifier import (
     discover_classes,
     is_pandiagonal,
     signature,
-    split_type_vi,
 )
-from magicgen.squares import grid_symmetries
+from magicgen.groups import canonical_key
+from magicgen.squares import grid_symmetries, is_normal_magic, parse_square
 
 DURER_BASIS = (16, 3, 2, 5, 10, 11, 9)
 FREE_CELLS = (0, 1, 2, 4, 5, 6, 8)
@@ -84,6 +84,31 @@ def test_incomplete_catalog_rejected(catalog4):
         discover_classes(catalog4[:100])
 
 
+def test_repeated_square_rejected(catalog4):
+    # Replace one square by a copy of a member with the same signature:
+    # still 7,040 lines and 12 classes of the right sizes, 7,039 squares.
+    victim = catalog4[100]
+    twin = next(
+        sq for sq in catalog4 if sq != victim and signature(sq) == signature(victim)
+    )
+    corrupt = catalog4[:100] + [twin] + catalog4[101:]
+    with pytest.raises(ValueError, match="repeats the square"):
+        discover_classes(corrupt)
+
+
+def test_non_magic_square_rejected(catalog4):
+    # A row/column permutation of a catalog square that breaks the main
+    # diagonals, standing in for a member with its signature: populations
+    # and labels alone cannot tell.
+    fake = parse_square("8 12 5 9 13 7 10 4 2 14 3 15 11 1 16 6")
+    assert not is_normal_magic(fake)
+    assert any(canonical_key(sq) == canonical_key(fake) for sq in catalog4)
+    victim = next(sq for sq in catalog4 if signature(sq) == signature(fake))
+    corrupt = [fake if sq == victim else sq for sq in catalog4]
+    with pytest.raises(ValueError, match="non-magic square"):
+        discover_classes(corrupt)
+
+
 def test_population_mismatch_rejected(census4):
     # Tamper: drop one class and double another to keep 12 entries.
     classes = list(census4.classes)
@@ -119,7 +144,7 @@ def test_pandiagonal_set_is_exactly_one_384_class(catalog4, census4):
 class TestTypeVISplit:
     def test_partition_of_class_vi(self, census4):
         vi = census4.class_by_numeral["VI"]
-        splits = Counter(split_type_vi(sq, census4.labels) for sq in vi.members)
+        splits = Counter(census4.label_of(sq).vi_split for sq in vi.members)
         assert splits[VI_SPLIT_PLAIN] + splits[VI_SPLIT_BROKEN] == 2432
         assert splits[VI_SPLIT_BROKEN] == 960
         assert splits[VI_SPLIT_PLAIN] == 1472
@@ -132,11 +157,7 @@ class TestTypeVISplit:
                 if count_magic_broken_diagonals(sq)
                 else VI_SPLIT_PLAIN
             )
-            assert split_type_vi(sq, census4.labels) == expected
-
-    def test_rejects_non_vi_square(self, durer, census4):
-        with pytest.raises(ValueError, match="not VI"):
-            split_type_vi(durer, census4.labels)
+            assert census4.label_of(sq).vi_split == expected
 
     def test_label_of_attaches_split(self, census4):
         vi = census4.class_by_numeral["VI"]

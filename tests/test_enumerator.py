@@ -11,7 +11,6 @@ from magicgen.enumerator import (
     _iter_order4,
     count_squares,
     enumerate_shards_parallel,
-    enumerate_squares,
     iter_squares,
     shard_for,
     single_cell_shards,
@@ -52,12 +51,6 @@ def test_order4_all_magic_rechecked(catalog4):
 def test_unsupported_order():
     with pytest.raises(ValueError, match="unsupported order"):
         count_squares(6)
-
-
-def test_enumerate_squares_sink():
-    seen = []
-    count = enumerate_squares(3, seen.append)
-    assert count == 8 == len(seen)
 
 
 def test_determinism_two_runs_identical():

@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import pytest
 
+from magicgen.classifier import ClassLabel, DudeneyCensus
 from magicgen.enumerator import iter_squares
 from magicgen.generators import (
     REFERENCE_HISTOGRAMS,
     REFERENCE_TOTAL_GENERATORS,
     OrbitPartition,
+    census,
     decompose,
     symmetric_closure_partition,
     verify_partition,
 )
-from magicgen.groups import Orbit, symmetry_group
+from magicgen.groups import Orbit, candidate_universe, symmetry_group
 from magicgen.squares import encode_square
 
 
@@ -83,17 +85,28 @@ class TestCensus:
 
     def test_generators_reproduce_their_orbits(self, census4, gencensus4):
         # Every universe image of the generator that is a class member is in
-        # the orbit, and every orbit member is such an image.
+        # the orbit, and every orbit member is such an image: a full
+        # expansion, independent of the canonical keys the partition uses.
         from magicgen.groups import _universe_maps
 
         maps = [m for _, m in _universe_maps(4)]
-        for letter in ("A", "D"):
+        for letter in "ABCD":
             subject = {sq.cells for sq in census4.trigg_members(letter)}
             cls = gencensus4.by_letter(letter)
             for orb in cls.closure_partition.orbits:
                 src = orb.generator.cells
                 reach = {tuple(src[i] for i in cmap) for cmap in maps}
                 assert {m.cells for m in orb.members} == reach & subject
+
+    def test_class_spanning_two_trigg_classes_raises(self, census4):
+        # Relabel class XI (Trigg D) as Trigg C: C and D then each hold
+        # half of a closure class, which the census must refuse.
+        labels = dict(census4.labels)
+        xi = census4.class_by_numeral["XI"].signature
+        labels[xi] = ClassLabel("XI", "C")
+        doctored = DudeneyCensus(census4.classes, labels)
+        with pytest.raises(ValueError, match="Trigg classes C and D"):
+            census(doctored)
 
 
 class TestPeelingOrderIndependence:
@@ -155,12 +168,34 @@ class TestVerifyPartition:
 
     def test_symmetric_generators_detected(self, gencensus4, census4):
         # Two group-view orbits of Trigg A fuse under the full universe, so
-        # checking the group partition against the universe must fail.
+        # checking the group partition against the universe must fail,
+        # while its own group keeps them apart.
         cls = gencensus4.by_letter("A")
         members = census4.trigg_members("A")
         verdict = verify_partition(cls.group_partition, members)
         assert not verdict.ok
         assert any("symmetric" in p for p in verdict.problems)
+        assert verify_partition(
+            cls.group_partition, members, transformations=cls.group.members
+        ).ok
+
+    def test_symmetric_pair_found_past_any_sample(self, gencensus4, census4):
+        # Split the last Trigg C closure orbit in two: only the final pair
+        # of its 45 generators clashes, one pair in 990.  Both the key
+        # check and the explicit-triple check must find it.
+        cls = gencensus4.by_letter("C")
+        members = census4.trigg_members("C")
+        orbits = sorted(
+            cls.closure_partition.orbits, key=lambda o: encode_square(o.generator)
+        )
+        rest = sorted(orbits.pop().members, key=encode_square)
+        orbits.append(Orbit(frozenset(rest[:1]), rest[0]))
+        orbits.append(Orbit(frozenset(rest[1:]), rest[1]))
+        tampered = OrbitPartition("tampered", "closure", tuple(orbits))
+        clash = f"generators {len(orbits) - 2} and {len(orbits) - 1} are symmetric"
+        for transformations in (None, candidate_universe(4)):
+            verdict = verify_partition(tampered, members, transformations)
+            assert verdict.problems == (f"{clash} to each other",)
 
 
 def test_decompose_rejects_foreign_squares(census4):

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
 
-from magicgen.enumerator import iter_squares
+from magicgen import groups
+from magicgen.enumerator import Shard, iter_squares
 from magicgen.groups import (
-    are_symmetric,
+    GroupClosureError,
     candidate_universe,
+    canonical_key,
     orbit,
     symmetry_group,
 )
@@ -18,6 +21,7 @@ from magicgen.squares import (
     grid_symmetries,
     identity_transformation,
     is_normal_magic,
+    parse_square,
 )
 
 
@@ -86,6 +90,17 @@ class TestSymmetryGroup:
         with pytest.raises(ValueError, match="mixes orders"):
             symmetry_group([lo_shu, durer])
 
+    def test_unclosed_triple_set_rejected(self, all3, monkeypatch):
+        # A universe without the half-turn still holds every inverse among
+        # the survivors, but quarter-turn after quarter-turn is missing.
+        half_turn = grid_symmetries(3)[2]
+        doctored = tuple(
+            (t, t.cell_map()) for t in candidate_universe(3) if t != half_turn
+        )
+        monkeypatch.setattr(groups, "_universe_maps", lambda n: doctored)
+        with pytest.raises(GroupClosureError, match="composition"):
+            symmetry_group(all3)
+
     def test_trigg_class_group_orders(self, gencensus4):
         # The triples preserving each whole Trigg class; the published
         # per-generator "group orders" are closure-orbit sizes, not these.
@@ -102,39 +117,76 @@ class TestSymmetryGroup:
             assert Transformation(rp, cp, True) in members
 
 
+def _brute_force_key(square: Square, maps) -> str:
+    src = square.cells
+    return min(" ".join(str(src[i]) for i in cmap) for cmap in maps)
+
+
+def _universe_cell_maps(n: int):
+    return [t.cell_map() for t in candidate_universe(n)]
+
+
+class TestCanonicalKey:
+    """canonical_key against the minimum over every candidate-triple image."""
+
+    def test_order3_all_squares(self, all3):
+        maps = _universe_cell_maps(3)
+        for sq in all3:
+            assert canonical_key(sq) == _brute_force_key(sq, maps)
+
+    def test_order4_seeded_sample(self, catalog4, durer):
+        # The whole catalog takes ~30 s this way; 600 squares take ~3 s.
+        maps = _universe_cell_maps(4)
+        sample = [durer] + random.Random(61).sample(catalog4, 600)
+        for sq in sample:
+            assert canonical_key(sq) == _brute_force_key(sq, maps)
+
+    def test_order5_shard_squares(self):
+        maps = _universe_cell_maps(5)
+        squares = list(islice(iter_squares(5, Shard((12,))), 3))
+        assert len(squares) == 3
+        for sq in squares:
+            assert canonical_key(sq) == _brute_force_key(sq, maps)
+
+
 class TestAreSymmetric:
+    """Squares are symmetric iff their canonical keys are equal."""
+
     def test_reflexive(self, lo_shu):
-        assert are_symmetric(lo_shu, lo_shu)
+        assert canonical_key(lo_shu) == canonical_key(lo_shu)
 
     def test_lo_shu_vs_rotation(self, lo_shu):
         rot = grid_symmetries(3)[1].apply(lo_shu)
-        assert are_symmetric(lo_shu, rot)
+        assert canonical_key(lo_shu) == canonical_key(rot)
 
     def test_symmetric_on_samples(self, catalog4):
+        # Every universe image of a square has the square's key; keys are
+        # texts of images, so the key is itself an image of the square.
         rng = random.Random(53)
-        squares = rng.sample(catalog4, 6)
-        for a in squares:
-            for b in squares:
-                assert are_symmetric(a, b) == are_symmetric(b, a)
+        universe = candidate_universe(4)
+        for sq in rng.sample(catalog4, 6):
+            key = canonical_key(sq)
+            for t in rng.sample(universe, 40):
+                assert canonical_key(t.apply(sq)) == key
+            image = parse_square(key, 4)
+            assert canonical_key(image) == key
+            assert any(t.apply(sq) == image for t in universe)
 
     def test_transitive_within_closure_orbits(self, gencensus4):
-        # All members of one reachability class are pairwise symmetric.
+        # All members of one reachability class share one key.
         orb = gencensus4.by_letter("D").closure_partition.orbits[0]
-        sample = sorted(orb.members, key=encode_square)[:5]
-        for a in sample:
-            for b in sample:
-                assert are_symmetric(a, b)
+        assert len({canonical_key(m) for m in orb.members}) == 1
 
     def test_distinct_type_a_generators_not_symmetric(self, gencensus4):
         gens = gencensus4.by_letter("A").closure_partition.generators()
         assert len(gens) == 3
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert not are_symmetric(gens[i], gens[j])
+        assert len({canonical_key(g) for g in gens}) == 3
 
     def test_order_mismatch(self, lo_shu, durer):
-        with pytest.raises(ValueError, match="different orders"):
-            are_symmetric(lo_shu, durer)
+        # A key is an encoding of the square's own order.
+        for sq in (lo_shu, durer):
+            assert parse_square(canonical_key(sq)).order == sq.order
+        assert canonical_key(lo_shu) != canonical_key(durer)
 
 
 class TestOrbit:

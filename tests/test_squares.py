@@ -81,18 +81,6 @@ def test_is_normal_magic(lo_shu, durer):
     assert not is_normal_magic(Square(4, tuple(range(1, 17))))
 
 
-def test_magic_square_wrapper(lo_shu, durer):
-    from magicgen.squares import MagicSquare
-
-    ms = MagicSquare.from_square(durer)
-    assert ms.mu == 34
-    assert MagicSquare.from_square(lo_shu).mu == 15
-    with pytest.raises(ValueError, match="not magic"):
-        MagicSquare.from_square(Square(4, tuple(range(1, 17))))
-    with pytest.raises(ValueError, match="magic constant"):
-        MagicSquare(durer, 33)
-
-
 def test_parse_round_trip(durer):
     line = encode_square(durer)
     assert line == "16 3 2 13 5 10 11 8 9 6 7 12 4 15 14 1"
