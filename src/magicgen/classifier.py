@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .constraints import dependent_cells_order4, validate_grid
+from .constraints import build_system, dependent_cells_order4, validate_grid
 from .squares import (
     Square,
     broken_diagonal_sums,
@@ -52,7 +52,7 @@ TRIGG_POPULATIONS = {"A": 1152, "B": 3968, "C": 1792, "D": 128}
 VI_SPLIT_PLAIN = "VI'"
 VI_SPLIT_BROKEN = "VI''"
 
-_FREE_CELLS = (0, 1, 2, 4, 5, 6, 8)
+_FREE_CELLS = build_system(4).free_cells
 
 
 @dataclass(frozen=True)

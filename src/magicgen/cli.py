@@ -15,6 +15,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .catalog import (
+    FORMAT_LINE,
+    catalog_text,
     classification_text,
     group_text,
     read_catalog,
@@ -69,17 +71,14 @@ def _cmd_enumerate(args) -> int:
             file=sys.stderr,
         )
         return 1
-    lines = ["# format=1", f"# order={n}"]
-    count = 0
     if args.out:
-        for sq in iter_squares(n, shard):
-            lines.append(encode_square(sq))
-            count += 1
-        lines.append("")
-        write_atomic(args.out, "\n".join(lines))
+        squares = list(iter_squares(n, shard))
+        write_atomic(args.out, catalog_text(squares, n))
+        count = len(squares)
     else:
-        for header in lines:
-            print(header)
+        print(FORMAT_LINE)
+        print(f"# order={n}")
+        count = 0
         for sq in iter_squares(n, shard):
             print(encode_square(sq))
             count += 1
@@ -265,7 +264,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -151,6 +151,27 @@ def _checked_prefix(n: int, shard: Shard | None) -> tuple[int, ...]:
     return prefix
 
 
+def checked_plan(n: int, shards: Sequence[Shard]) -> int:
+    """Prefix depth of a shard plan whose subtrees are pairwise disjoint.
+
+    A plan must be non-empty, every prefix valid and of one depth, and no
+    prefix repeated: equal-depth distinct prefixes never nest, so no
+    square is counted twice.
+    """
+    if not shards:
+        raise ValueError("shard plan is empty")
+    prefixes = [_checked_prefix(n, s) for s in shards]
+    depth = len(prefixes[0])
+    seen: set[tuple[int, ...]] = set()
+    for p in prefixes:
+        if len(p) != depth:
+            raise ValueError(f"shard plan mixes prefix depths {depth} and {len(p)}")
+        if p in seen:
+            raise ValueError(f"shard plan repeats prefix {p}")
+        seen.add(p)
+    return depth
+
+
 def _iter_generic(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Propagating backtracker over the free-cell basis.
 

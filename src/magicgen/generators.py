@@ -18,6 +18,9 @@ Two decompositions are computed and reported side by side:
 Both are OrbitPartitions that pass verify_partition, which checks every
 generator pair for symmetry: the closure view's generators are pairwise
 non-symmetric even under the full universe.
+
+class_census() computes both for one class of squares: census() runs it
+on each Trigg class, and the pipeline on the whole order-3 catalog.
 """
 
 from __future__ import annotations
@@ -256,25 +259,29 @@ class GeneratorCensus:
         raise KeyError(letter)
 
 
+def class_census(letter: str, members: Sequence[Square], name: str) -> ClassCensus:
+    """Symmetry group and both orbit partitions of one class of squares."""
+    group = symmetry_group(members)
+    group_part = decompose(members, group, name)
+    closure_part = symmetric_closure_partition(members, name)
+    for part in (group_part, closure_part):
+        if part.total != len(members):
+            raise ValueError(
+                f"{name} {part.method} partition covers {part.total} "
+                f"of {len(members)} squares"
+            )
+    return ClassCensus(letter, len(members), group, group_part, closure_part)
+
+
 def census(dudeney: DudeneyCensus) -> GeneratorCensus:
     """Per-Trigg-class groups and decompositions for the full order-4 census."""
     classes: list[ClassCensus] = []
     discrepancies: list[Discrepancy] = []
     for letter in "ABCD":
-        members = dudeney.trigg_members(letter)
         name = f"trigg_{letter}"
-        group = symmetry_group(members)
-        group_part = decompose(members, group, name)
-        closure_part = symmetric_closure_partition(members, name)
-        for part in (group_part, closure_part):
-            if part.total != len(members):
-                raise ValueError(
-                    f"{name} {part.method} partition covers {part.total} "
-                    f"of {len(members)} squares"
-                )
-        cls = ClassCensus(letter, len(members), group, group_part, closure_part)
+        cls = class_census(letter, dudeney.trigg_members(letter), name)
         expected = REFERENCE_HISTOGRAMS[letter]
-        got = closure_part.size_histogram
+        got = cls.closure_partition.size_histogram
         if got != expected:
             discrepancies.append(
                 Discrepancy(name, "orbit_histogram", repr(expected), repr(got))

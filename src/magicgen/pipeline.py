@@ -1,9 +1,11 @@
 """End-to-end runs: enumerate -> classify -> group -> generators -> report.
 
 Orders 3 and 4 run to completion on a desk.  Order 5 is a long-running
-job: the pipeline only lays out a resumable shard plan and executes
-count-only shard jobs, skipping any shard whose result file already
-exists (files are written atomically, so existence means complete).
+job: the pipeline checks a shard plan of disjoint subtrees, lays it out,
+and executes count-only shard jobs, skipping any shard whose count file
+already holds a well-formed count for the same prefix and trial cells.
+Every order reports through report_data and emit_report, so `magicgen
+report` regenerates any run's summary from its report.json.
 
 All outputs are deterministic -- no timestamps, no seeds -- so repeated
 runs are byte-identical.
@@ -12,6 +14,8 @@ runs are byte-identical.
 from __future__ import annotations
 
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,9 +29,9 @@ from .catalog import (
     write_atomic,
 )
 from .classifier import DudeneyCensus, count_magic_broken_diagonals
-from .enumerator import Shard, count_squares, iter_squares, trial_cells
-from .generators import GeneratorCensus, census as generator_census
-from .groups import symmetry_group
+from .enumerator import Shard, checked_plan, count_squares, iter_squares, trial_cells
+from .generators import GeneratorCensus, class_census, census as generator_census
+from .groups import symmetry_group  # noqa: F401  (perfbench/tracing.py wraps it)
 from .squares import Square, encode_square
 from .constraints import cell_name
 
@@ -122,7 +126,9 @@ def report_data(
     count: int,
     dudeney: DudeneyCensus | None,
     gens: GeneratorCensus | None,
+    shards: Sequence[Shard] | None = None,
 ) -> dict:
+    """Machine-readable report; `shards` is a plan checked by checked_plan."""
     data: dict = {"format": 1, "order": order, "square_count": count}
     if dudeney is not None:
         data["dudeney_populations"] = {
@@ -149,6 +155,14 @@ def report_data(
             for cls in gens.classes
         }
         data["discrepancies"] = [d.as_dict() for d in gens.discrepancies]
+    if shards is not None:
+        depth = len(shards[0].prefix)
+        data["shard_plan"] = {
+            "prefix_depth": depth,
+            "shards": len(shards),
+            "covers_all_prefixes": len(shards) == math.perm(order * order, depth),
+            "reference_count": 2202441792,  # 8 x Schroeppel's 275,305,224
+        }
     return data
 
 
@@ -210,6 +224,14 @@ def emit_report(data: dict) -> str:
                 )
         else:
             lines.append("  discrepancies versus published census: none")
+    if "shard_plan" in data:
+        plan = data["shard_plan"]
+        cover = "full" if plan["covers_all_prefixes"] else "partial"
+        lines.append(
+            f"  shard plan: {plan['shards']} shards of prefix depth "
+            f"{plan['prefix_depth']} ({cover} plan)"
+        )
+        lines.append(f"  full-space reference count: {plan['reference_count']}")
     lines.append("")
     return "\n".join(lines)
 
@@ -234,9 +256,10 @@ def run_pipeline(
     """Run every stage for the given order and persist all artifacts.
 
     Orders 3 and 4 write catalog, classification (order 4), group
-    listings, generator report, report.json, and summary.txt.  Order 5
-    requires long_run=True and executes a resumable count-only shard
-    plan (default: one shard per value of the first trial cell).
+    listings, generator report, report.json, discrepancies.json and
+    summary.txt.  Order 5 requires long_run=True and executes a resumable
+    count-only shard plan (default: one shard per value of the first trial
+    cell), then writes report.json and summary.txt.
     """
     out = Path(out_dir)
     log = log or (lambda msg: print(msg, file=sys.stderr))
@@ -257,49 +280,22 @@ def _run_small(order: int, out: Path, fmt: str, log) -> PipelineSummary:
     log(f"# stage=enumerate count={len(squares)}")
     write_atomic(out / "catalog.txt", catalog_text(squares, order))
 
-    if order == 3:
-        group = symmetry_group(squares)
-        write_atomic(out / "group.txt", group_text("order3", group))
-        from .generators import decompose, symmetric_closure_partition
-
-        part = decompose(squares, group, "order3")
-        closure = symmetric_closure_partition(squares, "order3")
-        data = {
-            "format": 1,
-            "order": 3,
-            "square_count": len(squares),
-            "group_order": len(group),
-            "orbit_histogram": part.size_histogram,
-            "closure_histogram": closure.size_histogram,
-            "total_generators": len(closure.orbits),
-            "generators": [encode_square(o.generator) for o in closure.orbits],
-        }
-        write_atomic(out / REPORT_JSON, json.dumps(data, indent=2) + "\n")
-        summary = (
-            f"normal magic squares, order 3\n"
-            f"  squares enumerated: {len(squares)}\n"
-            f"  symmetry group: {len(group)} triples (dihedral)\n"
-            f"  generators: {len(closure.orbits)} "
-            f"(orbit sizes {part.size_histogram})\n"
-        )
-        write_atomic(out / SUMMARY_NAME, summary)
-        log(f"# stage=report generators={len(closure.orbits)}")
-        return PipelineSummary(3, len(squares), len(closure.orbits), out)
-
-    dudeney = DudeneyCensus.from_catalog(squares)
-    log("# stage=classify classes=12")
-    gens = generator_census(dudeney)
+    dudeney = DudeneyCensus.from_catalog(squares) if order == 4 else None
+    if dudeney is not None:
+        log("# stage=classify classes=12")
+        gens = generator_census(dudeney)
+        records = attach_orbits(classify_catalog(squares, dudeney), gens)
+        write_atomic(out / "classes.tsv", classification_text(records, fmt))
+    else:
+        # Without Dudeney/Trigg classes the whole catalog is one class.
+        gens = GeneratorCensus((class_census("order3", squares, "order3"),), ())
     log(f"# stage=generators total={gens.total_generators}")
 
-    records = attach_orbits(classify_catalog(squares, dudeney), gens)
-    write_atomic(out / "classes.tsv", classification_text(records, fmt))
     for cls in gens.classes:
-        write_atomic(
-            out / "groups" / f"trigg_{cls.letter}.txt",
-            group_text(f"trigg_{cls.letter}", cls.group),
-        )
+        name = cls.group_partition.subject_name
+        write_atomic(out / "groups" / f"{name}.txt", group_text(name, cls.group))
     write_atomic(out / "generators.txt", generators_text(gens))
-    data = report_data(4, len(squares), dudeney, gens)
+    data = report_data(order, len(squares), dudeney, gens)
     write_atomic(out / REPORT_JSON, json.dumps(data, indent=2) + "\n")
     write_atomic(
         out / "discrepancies.json",
@@ -308,7 +304,7 @@ def _run_small(order: int, out: Path, fmt: str, log) -> PipelineSummary:
     write_atomic(out / SUMMARY_NAME, emit_report(data))
     log(f"# stage=report discrepancies={len(gens.discrepancies)}")
     return PipelineSummary(
-        4, len(squares), gens.total_generators, out, len(gens.discrepancies)
+        order, len(squares), gens.total_generators, out, len(gens.discrepancies)
     )
 
 
@@ -316,37 +312,41 @@ def _shard_tag(shard: Shard) -> str:
     return "_".join(f"{v:02d}" for v in shard.prefix)
 
 
+def _trusted_count(path: Path, head: str) -> int | None:
+    """The count in `path` if its text is exactly `head`, digits, newline."""
+    try:
+        text = path.read_text(errors="replace")
+    except FileNotFoundError:
+        return None
+    m = re.fullmatch(re.escape(head) + r"([0-9]+)\n", text)
+    return int(m.group(1)) if m else None
+
+
 def _run_order5(out: Path, shards: Sequence[Shard] | None, log) -> PipelineSummary:
     if shards is None:
         shards = [Shard((v,)) for v in range(1, 26)]
-    shard_dir = out / "shards"
-    manifest = [
-        "# format=1",
-        "# kind=shard-plan order=5 cells="
-        + ",".join(cell_name(c, 5) for c in trial_cells(5)[: len(shards[0].prefix)]),
-    ]
+    depth = checked_plan(5, shards)
+    cells = ",".join(cell_name(c, 5) for c in trial_cells(5)[:depth])
+    manifest = ["# format=1", f"# kind=shard-plan order=5 cells={cells}"]
     manifest.extend(f"shard {_shard_tag(s)}" for s in shards)
     write_atomic(out / "manifest.txt", "\n".join(manifest) + "\n")
 
     total = 0
-    done = 0
     for shard in shards:
-        path = shard_dir / f"shard_{_shard_tag(shard)}.count"
-        if path.exists():
-            total += int(path.read_text().split()[-1])
-            done += 1
-            log(f"# stage=shard {_shard_tag(shard)} status=resumed")
-            continue
-        count = count_squares(5, shard)
-        write_atomic(path, f"# format=1\ncount {count}\n")
+        tag = _shard_tag(shard)
+        path = out / "shards" / f"shard_{tag}.count"
+        # A count holds only for the trial cells it was counted under.
+        head = f"# format=1\n# kind=shard-count order=5 cells={cells} prefix={tag}\ncount "
+        count = _trusted_count(path, head)
+        if count is not None:
+            log(f"# stage=shard {tag} status=resumed")
+        else:
+            status = "recounted" if path.exists() else "done"
+            count = count_squares(5, shard)
+            write_atomic(path, f"{head}{count}\n")
+            log(f"# stage=shard {tag} status={status} count={count}")
         total += count
-        done += 1
-        log(f"# stage=shard {_shard_tag(shard)} status=done count={count}")
-    summary = (
-        f"normal magic squares, order 5 (sharded long run)\n"
-        f"  shards completed: {done} of {len(shards)}\n"
-        f"  squares counted so far: {total}\n"
-        f"  full-space reference count: 2202441792\n"
-    )
-    write_atomic(out / SUMMARY_NAME, summary)
+    data = report_data(5, total, None, None, shards)
+    write_atomic(out / REPORT_JSON, json.dumps(data, indent=2) + "\n")
+    write_atomic(out / SUMMARY_NAME, emit_report(data))
     return PipelineSummary(5, total, None, out)

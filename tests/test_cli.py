@@ -1,13 +1,22 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from magicgen.cli import main
 from magicgen.catalog import read_catalog, read_classification
-from magicgen.enumerator import Shard, count_squares
-from magicgen.pipeline import run_pipeline
+from magicgen.enumerator import Shard, count_squares, single_cell_shards
+from magicgen.pipeline import emit_report, report_data, run_pipeline
+
+# sha256 of `enumerate --order 4 --shard-cell a --shard-value 16 --out`
+# as written before the catalog went through catalog_text.
+A16_CATALOG_SHA256 = "1fe7cb05e3a7884d2850b1f29f1811bebe8849ee0af2c274df78929d6acc585c"
+# sha256 of the order-3 group listing, formerly group.txt.
+ORDER3_GROUP_SHA256 = "330da85482cf5b840d1142bb32a4bcf51d45ca6b5a713243296d48fbb6ff5782"
+# Two tiny order-5 subtrees (first row 1+2+13+24 leaves e=25).
+ORDER5_PLAN = [Shard((1, 2, 13, 24, 3, 22)), Shard((1, 2, 13, 24, 4, 21))]
 
 
 def test_analyze_basis(capsys):
@@ -48,6 +57,7 @@ def test_enumerate_shard_to_file(tmp_path, capsys):
     squares = read_catalog(out)
     assert len(squares) == count_squares(4, Shard((16,)))
     assert all(sq.cells[0] == 16 for sq in squares)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == A16_CATALOG_SHA256
 
 
 def test_enumerate_rejects_bad_shard_cell(capsys):
@@ -72,6 +82,18 @@ def test_verify_command(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("# format=1\n1 2 3 4 5 6 7 8 9\n")
     assert main(["verify", "--in", str(bad)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--in"], ["classify", "--in"], ["report", "--dir"]],
+    ids=["verify", "classify", "report"],
+)
+def test_missing_input_is_an_error_not_a_traceback(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main([*argv, str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
 
 
 @pytest.fixture(scope="module")
@@ -168,8 +190,17 @@ def test_pipeline_order3_idempotent(tmp_path):
     out2 = tmp_path / "p2"
     run_pipeline(3, out1, log=lambda m: None)
     run_pipeline(3, out2, log=lambda m: None)
-    for name in ("catalog.txt", "group.txt", "report.json", "summary.txt"):
+    for name in (
+        "catalog.txt",
+        "groups/order3.txt",
+        "generators.txt",
+        "report.json",
+        "discrepancies.json",
+        "summary.txt",
+    ):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    group = (out1 / "groups" / "order3.txt").read_bytes()
+    assert hashlib.sha256(group).hexdigest() == ORDER3_GROUP_SHA256
     run_pipeline(3, out1, log=lambda m: None)  # rerun in place
     assert (out1 / "summary.txt").read_bytes() == (out2 / "summary.txt").read_bytes()
 
@@ -212,3 +243,95 @@ def test_pipeline_order5_shard_plan_resumes(tmp_path):
     shard_events = [e for e in events if "stage=shard" in e]
     assert sum("status=done" in e for e in shard_events) == 1
     assert sum("status=resumed" in e for e in shard_events) == 1
+
+
+@pytest.fixture(params=[3, 4, 5], ids=["order3", "order4", "order5"])
+def any_run(request, tmp_path):
+    if request.param == 4:
+        return request.getfixturevalue("outdir")
+    out = tmp_path / f"p{request.param}"
+    plan = {"long_run": True, "shards": ORDER5_PLAN} if request.param == 5 else {}
+    run_pipeline(request.param, out, log=lambda m: None, **plan)
+    return out
+
+
+def test_report_reproduces_any_run(any_run, capsys):
+    summary = (any_run / "summary.txt").read_text()
+    assert summary == emit_report(json.loads((any_run / "report.json").read_text()))
+    assert main(["report", "--dir", str(any_run)]) == 0
+    assert capsys.readouterr().out == summary
+    assert (any_run / "summary.txt").read_text() == summary
+
+
+def test_order5_report_labels_the_plan(tmp_path):
+    out = tmp_path / "p5"
+    summary = run_pipeline(5, out, long_run=True, shards=ORDER5_PLAN, log=lambda m: None)
+    plan = json.loads((out / "report.json").read_text())["shard_plan"]
+    assert plan == {
+        "prefix_depth": 6,
+        "shards": 2,
+        "covers_all_prefixes": False,
+        "reference_count": 2202441792,
+    }
+    text = (out / "summary.txt").read_text()
+    assert f"squares enumerated: {summary.square_count}" in text
+    assert "2 shards of prefix depth 6 (partial plan)" in text
+    full = emit_report(report_data(5, 0, None, None, single_cell_shards(5)))
+    assert "25 shards of prefix depth 1 (full plan)" in full
+
+
+BAD_PLANS = {
+    "empty": [],
+    "repeated": [Shard((13, 1, 2, 24, 3, 14, 16, 12))] * 2,
+    "nested": [Shard((13, 1, 2, 24, 3, 14, 16)), Shard((13, 1, 2, 24, 3, 14, 16, 12))],
+    "repeated_value": [Shard((1, 1))],
+    "out_of_range": [Shard((26,))],
+    "too_deep": [Shard(tuple(range(1, 16)))],
+}
+
+
+@pytest.mark.parametrize("plan", BAD_PLANS.values(), ids=BAD_PLANS.keys())
+def test_bad_shard_plan_rejected_before_the_manifest(plan, tmp_path):
+    out = tmp_path / "p5"
+    with pytest.raises(ValueError):
+        run_pipeline(5, out, long_run=True, shards=plan, log=lambda m: None)
+    assert not (out / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("plan", ["repeated", "nested", "repeated_value"])
+def test_bad_shard_plan_cli_error(plan, tmp_path, capsys):
+    argv = ["pipeline", "--order", "5", "--long-run", "--out-dir", str(tmp_path / "p5")]
+    for shard in BAD_PLANS[plan]:
+        argv += ["--shard-value", ",".join(map(str, shard.prefix))]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: stage=pipeline ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "garbage 99999\n",
+        "# format=1\ncount 99999\n",
+        "# format=1\n# kind=shard-count order=5 cells=a,b,c,d,e,f prefix={tag}\ncount 99999\n",
+        "# format=1\n# kind=shard-count order=5 cells={cells} prefix={tag}\ncount 99999\n\n",
+    ],
+    ids=["garbage", "old_format", "other_cells", "trailing_line"],
+)
+def test_untrusted_count_file_is_recounted(text, tmp_path):
+    out = tmp_path / "p5"
+    first = run_pipeline(5, out, long_run=True, shards=ORDER5_PLAN, log=lambda m: None)
+    victim = out / "shards" / "shard_01_02_13_24_03_22.count"
+    good = victim.read_text()
+    assert good == (
+        "# format=1\n"
+        "# kind=shard-count order=5 cells=a,b,c,d,f,g prefix=01_02_13_24_03_22\n"
+        "count 1\n"
+    )
+    victim.write_text(text.format(tag="01_02_13_24_03_22", cells="a,b,c,d,f,g"))
+    events: list[str] = []
+    again = run_pipeline(5, out, long_run=True, shards=ORDER5_PLAN, log=events.append)
+    assert again.square_count == first.square_count
+    shard_events = [e for e in events if "stage=shard" in e]
+    assert sum("status=recounted" in e for e in shard_events) == 1
+    assert sum("status=resumed" in e for e in shard_events) == 1
+    assert victim.read_text() == good
