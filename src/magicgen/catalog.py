@@ -3,8 +3,8 @@
 Everything is line-oriented text with a `# format=1` version header so the
 files diff and stream cleanly.  A catalog holds one canonical square
 encoding per line; classification and generator metadata live in sidecar
-files keyed by catalog line number.  All writes go through a
-write-temp-then-rename so partially written files never exist.
+files keyed by catalog line number.  All writes go through write_atomic,
+so partially written files never exist.
 """
 
 from __future__ import annotations
@@ -20,11 +20,26 @@ FORMAT_LINE = "# format=1"
 
 
 def write_atomic(path: str | os.PathLike, text: str) -> None:
+    """Replace `path` with `text`; readers see the old file or the new one.
+
+    The text goes to a temp file with a unique name in the same directory,
+    so concurrent writers never share one, and is fsynced before the
+    rename.  The temp file is removed if anything fails.  The new file
+    gets the mode a plain open() gives, not mkstemp's 0600.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _data_lines(path: Path) -> Iterator[str]:
@@ -171,6 +186,8 @@ def read_classification(path: str | os.PathLike) -> list[CatalogRecord]:
             for item in head.split(";"):
                 k, _, v = item.partition("=")
                 fields[k] = v
+            if sorted(fields) != sorted(names):
+                raise ValueError(f"bad classification row: {line!r}")
         records.append(_record_from_fields(fields))
     return records
 

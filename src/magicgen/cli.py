@@ -174,7 +174,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     shards = None
-    if args.order == 5 and args.shard_value:
+    if args.shard_value:
         shards = [Shard(tuple(int(x) for x in sv.split(","))) for sv in args.shard_value]
     try:
         summary = run_pipeline(

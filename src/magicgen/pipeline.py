@@ -30,7 +30,12 @@ from .catalog import (
 )
 from .classifier import DudeneyCensus, count_magic_broken_diagonals
 from .enumerator import Shard, checked_plan, count_squares, iter_squares, trial_cells
-from .generators import GeneratorCensus, class_census, census as generator_census
+from .generators import (
+    GeneratorCensus,
+    class_census,
+    compared_census,
+    census as generator_census,
+)
 from .groups import symmetry_group  # noqa: F401  (perfbench/tracing.py wraps it)
 from .squares import Square, encode_square
 from .constraints import cell_name
@@ -257,13 +262,15 @@ def run_pipeline(
 
     Orders 3 and 4 write catalog, classification (order 4), group
     listings, generator report, report.json, discrepancies.json and
-    summary.txt.  Order 5 requires long_run=True and executes a resumable
-    count-only shard plan (default: one shard per value of the first trial
-    cell), then writes report.json and summary.txt.
+    summary.txt; they take no shard plan.  Order 5 requires long_run=True
+    and executes a resumable count-only shard plan (default: one shard per
+    value of the first trial cell), then writes report.json and summary.txt.
     """
     out = Path(out_dir)
     log = log or (lambda msg: print(msg, file=sys.stderr))
     if order in (3, 4):
+        if shards is not None:
+            raise ValueError(f"a shard plan applies to order 5 only, not order {order}")
         return _run_small(order, out, fmt, log)
     if order == 5:
         if not long_run:
@@ -288,7 +295,7 @@ def _run_small(order: int, out: Path, fmt: str, log) -> PipelineSummary:
         write_atomic(out / "classes.tsv", classification_text(records, fmt))
     else:
         # Without Dudeney/Trigg classes the whole catalog is one class.
-        gens = GeneratorCensus((class_census("order3", squares, "order3"),), ())
+        gens = compared_census([class_census("order3", squares, "order3")])
     log(f"# stage=generators total={gens.total_generators}")
 
     for cls in gens.classes:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import threading
+
 import pytest
 
 from magicgen.catalog import (
@@ -73,6 +76,48 @@ def test_classification_round_trip(tmp_path, fmt):
     write_atomic(path, classification_text(RECORDS, fmt))
     back = read_classification(path)
     assert back == RECORDS
+
+
+def test_malformed_kv_row_rejected(tmp_path):
+    path = tmp_path / "bad.kv"
+    path.write_text("# format=1\nfoo\n")
+    with pytest.raises(ValueError, match="bad classification row: 'foo'"):
+        read_classification(path)
+
+
+def test_concurrent_writers_do_not_collide(tmp_path):
+    path = tmp_path / "shared.txt"
+    texts = ["a" * 5000 + "\n", "b" * 7000 + "\n"]
+    errors: list[BaseException] = []
+
+    def writer(text: str) -> None:
+        try:
+            for _ in range(200):
+                write_atomic(path, text)
+        except BaseException as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(t,)) for t in texts]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert path.read_text() in texts
+    assert os.listdir(tmp_path) == ["shared.txt"]
+
+
+def test_write_atomic_mode_and_failed_write(tmp_path):
+    umask = os.umask(0)
+    os.umask(umask)
+    path = tmp_path / "out.txt"
+    write_atomic(path, "old\n")
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+    with pytest.raises(UnicodeEncodeError):
+        write_atomic(path, "\ud800")  # a lone surrogate cannot be encoded
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
 
 
 def test_classification_text_versioned():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from magicgen import generators
 from magicgen.cli import main
 from magicgen.catalog import read_catalog, read_classification
 from magicgen.enumerator import Shard, count_squares, single_cell_shards
@@ -94,6 +95,15 @@ def test_missing_input_is_an_error_not_a_traceback(argv, tmp_path, capsys):
     assert main([*argv, str(missing)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
+
+
+@pytest.mark.parametrize("command", ["group", "generators"])
+def test_malformed_kv_row_is_an_error(command, tmp_path, capsys):
+    bad = tmp_path / "bad.kv"
+    bad.write_text("# format=1\nfoo\n")
+    extra = {"group": ["--trigg", "A"], "generators": ["--out", str(tmp_path / "g.txt")]}
+    assert main([command, "--in", str(bad), *extra[command]]) == 1
+    assert capsys.readouterr().err.startswith("error: bad classification row: 'foo'")
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +213,31 @@ def test_pipeline_order3_idempotent(tmp_path):
     assert hashlib.sha256(group).hexdigest() == ORDER3_GROUP_SHA256
     run_pipeline(3, out1, log=lambda m: None)  # rerun in place
     assert (out1 / "summary.txt").read_bytes() == (out2 / "summary.txt").read_bytes()
+
+
+def test_order3_compared_with_its_published_census(tmp_path, monkeypatch):
+    monkeypatch.setitem(generators.REFERENCE_HISTOGRAMS, "order3", {4: 2})
+    out = tmp_path / "p3"
+    assert main(["pipeline", "--order", "3", "--out-dir", str(out)]) == 0
+    assert json.loads((out / "discrepancies.json").read_text()) == [
+        {
+            "subject": "order3",
+            "field": "orbit_histogram",
+            "expected": "{4: 2}",
+            "computed": "{8: 1}",
+        }
+    ]
+    summary = (out / "summary.txt").read_text()
+    assert "order3.orbit_histogram: expected {4: 2}, computed {8: 1}" in summary
+
+
+@pytest.mark.parametrize("order", ["3", "4"])
+def test_pipeline_shard_plan_needs_order5(order, tmp_path, capsys):
+    out = tmp_path / "p"
+    argv = ["pipeline", "--order", order, "--out-dir", str(out), "--shard-value", "1,2"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: stage=pipeline ")
+    assert not out.exists()
 
 
 def test_pipeline_order5_requires_long_run(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from conftest import universe
 
 from magicgen.classifier import ClassLabel, DudeneyCensus
 from magicgen.enumerator import iter_squares
@@ -13,8 +14,8 @@ from magicgen.generators import (
     symmetric_closure_partition,
     verify_partition,
 )
-from magicgen.groups import Orbit, candidate_universe, symmetry_group
-from magicgen.squares import encode_square
+from magicgen.groups import Orbit, symmetry_group
+from magicgen.squares import Transformation, encode_square
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +88,7 @@ class TestCensus:
         # Every universe image of the generator that is a class member is in
         # the orbit, and every orbit member is such an image: a full
         # expansion, independent of the canonical keys the partition uses.
-        from magicgen.groups import _universe_maps
-
-        maps = [m for _, m in _universe_maps(4)]
+        maps = [Transformation(*triple).cell_map() for triple in universe(4)]
         for letter in "ABCD":
             subject = {sq.cells for sq in census4.trigg_members(letter)}
             cls = gencensus4.by_letter(letter)
@@ -193,7 +192,8 @@ class TestVerifyPartition:
         orbits.append(Orbit(frozenset(rest[1:]), rest[1]))
         tampered = OrbitPartition("tampered", "closure", tuple(orbits))
         clash = f"generators {len(orbits) - 2} and {len(orbits) - 1} are symmetric"
-        for transformations in (None, candidate_universe(4)):
+        triples = [Transformation(*triple) for triple in universe(4)]
+        for transformations in (None, triples):
             verdict = verify_partition(tampered, members, transformations)
             assert verdict.problems == (f"{clash} to each other",)
 

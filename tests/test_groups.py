@@ -4,12 +4,12 @@ import random
 from itertools import islice
 
 import pytest
+from conftest import universe
 
 from magicgen import groups
 from magicgen.enumerator import Shard, iter_squares
 from magicgen.groups import (
     GroupClosureError,
-    candidate_universe,
     canonical_key,
     orbit,
     symmetry_group,
@@ -35,20 +35,34 @@ def group3(all3):
     return symmetry_group(all3)
 
 
+def _triples(n: int) -> list[Transformation]:
+    return [Transformation(*triple) for triple in universe(n)]
+
+
+def _universe_filter(squares) -> set[Transformation]:
+    """The universe triples mapping every square of the set into the set."""
+    index = {sq.cells for sq in squares}
+    kept = set()
+    for t in _triples(squares[0].order):
+        cmap = t.cell_map()
+        if all(tuple(cells[i] for i in cmap) in index for cells in index):
+            kept.add(t)
+    return kept
+
+
 class TestUniverse:
+    """The test-side reference universe of conftest.universe."""
+
     def test_sizes(self):
-        assert len(candidate_universe(3)) == 72
-        assert len(candidate_universe(4)) == 1152
+        assert len(universe(3)) == 72
+        assert len(universe(4)) == 1152
 
     def test_contains_identity(self):
-        assert identity_transformation(4) in candidate_universe(4)
-
-    def test_too_large_rejected(self):
-        with pytest.raises(ValueError, match="not supported"):
-            candidate_universe(6)
+        t = identity_transformation(4)
+        assert (t.row_perm, t.col_perm, t.transposed) in universe(4)
 
     def test_no_duplicates(self):
-        u = candidate_universe(3)
+        u = universe(3)
         assert len(set(u)) == len(u)
 
 
@@ -91,15 +105,44 @@ class TestSymmetryGroup:
             symmetry_group([lo_shu, durer])
 
     def test_unclosed_triple_set_rejected(self, all3, monkeypatch):
-        # A universe without the half-turn still holds every inverse among
+        # Candidates without the half-turn still hold every inverse among
         # the survivors, but quarter-turn after quarter-turn is missing.
         half_turn = grid_symmetries(3)[2]
-        doctored = tuple(
-            (t, t.cell_map()) for t in candidate_universe(3) if t != half_turn
+        candidates = groups._candidates
+        monkeypatch.setattr(
+            groups,
+            "_candidates",
+            lambda index, n: [t for t in candidates(index, n) if t != half_turn],
         )
-        monkeypatch.setattr(groups, "_universe_maps", lambda n: doctored)
         with pytest.raises(GroupClosureError, match="composition"):
             symmetry_group(all3)
+
+    def test_order3_equals_universe_filter(self, all3, group3):
+        assert set(group3.members) == _universe_filter(all3)
+        for sq in all3:
+            assert set(symmetry_group([sq]).members) == _universe_filter([sq])
+
+    @pytest.mark.parametrize("letter", ["C", "D"])
+    def test_trigg_class_equals_universe_filter(self, census4, letter):
+        members = census4.trigg_members(letter)
+        assert set(symmetry_group(members).members) == _universe_filter(members)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_square_and_transpose_past_order_4(self, n, seed):
+        # No universe is listed: 28,800 triples at order 5, 1,036,800 at 6.
+        cells = list(range(1, n * n + 1))
+        random.Random(seed).shuffle(cells)
+        sq = Square(n, tuple(cells))
+        transpose = Transformation(tuple(range(n)), tuple(range(n)), True)
+        group = symmetry_group([sq, transpose.apply(sq)])
+        assert set(group.members) == {identity_transformation(n), transpose}
+
+    def test_order5_magic_square_and_transpose(self):
+        sq = next(iter_squares(5, Shard((12,))))
+        transpose = Transformation(tuple(range(5)), tuple(range(5)), True)
+        group = symmetry_group([sq, transpose.apply(sq)])
+        assert group.members == (identity_transformation(5), transpose)
 
     def test_trigg_class_group_orders(self, gencensus4):
         # The triples preserving each whole Trigg class; the published
@@ -123,7 +166,7 @@ def _brute_force_key(square: Square, maps) -> str:
 
 
 def _universe_cell_maps(n: int):
-    return [t.cell_map() for t in candidate_universe(n)]
+    return [t.cell_map() for t in _triples(n)]
 
 
 class TestCanonicalKey:
@@ -163,14 +206,14 @@ class TestAreSymmetric:
         # Every universe image of a square has the square's key; keys are
         # texts of images, so the key is itself an image of the square.
         rng = random.Random(53)
-        universe = candidate_universe(4)
+        triples = _triples(4)
         for sq in rng.sample(catalog4, 6):
             key = canonical_key(sq)
-            for t in rng.sample(universe, 40):
+            for t in rng.sample(triples, 40):
                 assert canonical_key(t.apply(sq)) == key
             image = parse_square(key, 4)
             assert canonical_key(image) == key
-            assert any(t.apply(sq) == image for t in universe)
+            assert any(t.apply(sq) == image for t in triples)
 
     def test_transitive_within_closure_orbits(self, gencensus4):
         # All members of one reachability class share one key.
