@@ -179,11 +179,11 @@ def assign_labels(
     return labels
 
 
-def _with_vi_split(label: ClassLabel, square: Square) -> ClassLabel:
+def with_vi_split(label: ClassLabel, broken_diagonals: int) -> ClassLabel:
     """Attach VI'' (some broken diagonal sums to 34) or VI' to a class-VI label."""
     if label.dudeney != "VI":
         return label
-    split = VI_SPLIT_BROKEN if count_magic_broken_diagonals(square) else VI_SPLIT_PLAIN
+    split = VI_SPLIT_BROKEN if broken_diagonals else VI_SPLIT_PLAIN
     return ClassLabel(label.dudeney, label.trigg, split)
 
 
@@ -207,8 +207,9 @@ class DudeneyCensus:
         return cls(classes, assign_labels(classes))
 
     def label_of(self, square: Square) -> ClassLabel:
-        """Full-path classification (signature lookup, VI split included)."""
-        return _with_vi_split(self.labels[signature(square)], square)
+        """Classify any order-4 magic square by its signature, VI split included."""
+        label = self.labels[signature(square)]
+        return with_vi_split(label, count_magic_broken_diagonals(square))
 
     def population(self, numeral: str) -> int:
         return self.class_by_numeral[numeral].population
@@ -264,10 +265,6 @@ class FastClassifier:
                 table[key] = label if prior == label else None
         return cls(census, table)
 
-    @property
-    def ambiguous_keys(self) -> int:
-        return sum(1 for v in self._table.values() if v is None)
-
     @staticmethod
     def _basis_key(basis: Sequence[int]) -> FastKey:
         where = {v: _FREE_CELLS[i] for i, v in enumerate(basis)}
@@ -303,4 +300,4 @@ class FastClassifier:
         if label is None:
             self.fallbacks += 1
             return self._census.label_of(square)
-        return _with_vi_split(label, square)
+        return with_vi_split(label, count_magic_broken_diagonals(square))

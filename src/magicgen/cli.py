@@ -64,6 +64,8 @@ def _shard_from_args(args, n: int) -> Shard | None:
 def _cmd_enumerate(args) -> int:
     n = args.order
     shard = _shard_from_args(args, n)
+    if args.long_run and n != 5:
+        raise ValueError(f"--long-run applies to order 5 only, not order {n}")
     if n == 5 and shard is None and not args.long_run:
         print(
             "error: full order-5 enumeration is a long-running job; "

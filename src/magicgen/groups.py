@@ -37,12 +37,6 @@ class TransformationGroup:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, t: Transformation) -> bool:
-        return t in set(self.members)
-
     def pair_view(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Permutation pairs whose transposed and untransposed triples both belong.
 

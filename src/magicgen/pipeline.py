@@ -1,9 +1,12 @@
 """End-to-end runs: enumerate -> classify -> group -> generators -> report.
 
-Orders 3 and 4 run to completion on a desk.  Order 5 is a long-running
-job: the pipeline checks a shard plan of disjoint subtrees, lays it out,
-and executes count-only shard jobs, skipping any shard whose count file
-already holds a well-formed count for the same prefix and trial cells.
+Orders 3 and 4 run to completion on a desk.  The order-4 catalog is
+labelled from the Dudeney census partition, which already holds each
+square; DudeneyCensus.label_of classifies any square on its own.  Order
+5 is a long-running job: the pipeline checks a shard plan of disjoint
+subtrees, lays it out, and executes count-only shard jobs, skipping any
+shard whose count file already holds a well-formed count for the same
+prefix and trial cells.
 Every order reports through report_data and emit_report, so `magicgen
 report` regenerates any run's summary from its report.json.
 
@@ -17,7 +20,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -28,7 +31,7 @@ from .catalog import (
     group_text,
     write_atomic,
 )
-from .classifier import DudeneyCensus, count_magic_broken_diagonals
+from .classifier import DudeneyCensus, count_magic_broken_diagonals, with_vi_split
 from .enumerator import Shard, checked_plan, count_squares, iter_squares, trial_cells
 from .generators import (
     GeneratorCensus,
@@ -47,9 +50,25 @@ REPORT_JSON = "report.json"
 def classify_catalog(
     squares: Sequence[Square], dudeney: DudeneyCensus
 ) -> list[CatalogRecord]:
+    """One record per square, labelled from the census partition that holds it.
+
+    The census has already put each square in its class, so the label is
+    looked up by cells, not recomputed; a square outside the census is a
+    ValueError (DudeneyCensus.label_of classifies any order-4 square).
+    Broken diagonals are counted once, for the record and the VI split.
+    """
+    label_by_cells = {
+        sq.cells: dudeney.labels[cls.signature]
+        for cls in dudeney.classes
+        for sq in cls.members
+    }
     records = []
     for i, sq in enumerate(squares):
-        label = dudeney.label_of(sq)
+        label = label_by_cells.get(sq.cells)
+        if label is None:
+            raise ValueError(f"square {encode_square(sq)} is not in the census")
+        broken = count_magic_broken_diagonals(sq)
+        label = with_vi_split(label, broken)
         records.append(
             CatalogRecord(
                 line=i,
@@ -57,7 +76,7 @@ def classify_catalog(
                 dudeney=label.dudeney,
                 trigg=label.trigg,
                 vi_split=label.vi_split,
-                broken_diagonals=count_magic_broken_diagonals(sq),
+                broken_diagonals=broken,
             )
         )
     return records
@@ -67,31 +86,19 @@ def attach_orbits(
     records: Iterable[CatalogRecord], gens: GeneratorCensus
 ) -> list[CatalogRecord]:
     """Fill orbit_id/is_generator from the closure partitions."""
-    orbit_of: dict[str, tuple[int, bool]] = {}
+    orbit_of: dict[str, int] = {}
+    generator_encs: set[str] = set()
     oid = 0
     for cls in gens.classes:
         for orb in cls.closure_partition.orbits:
-            gen_enc = encode_square(orb.generator)
+            generator_encs.add(encode_square(orb.generator))
             for m in orb.members:
-                enc = encode_square(m)
-                orbit_of[enc] = (oid, enc == gen_enc)
+                orbit_of[encode_square(m)] = oid
             oid += 1
-    out = []
-    for r in records:
-        oid_flag = orbit_of[r.encoding]
-        out.append(
-            CatalogRecord(
-                line=r.line,
-                encoding=r.encoding,
-                dudeney=r.dudeney,
-                trigg=r.trigg,
-                vi_split=r.vi_split,
-                broken_diagonals=r.broken_diagonals,
-                orbit_id=oid_flag[0],
-                is_generator=oid_flag[1],
-            )
-        )
-    return out
+    return [
+        replace(r, orbit_id=orbit_of[r.encoding], is_generator=r.encoding in generator_encs)
+        for r in records
+    ]
 
 
 def _histogram_str(hist: dict[int, int]) -> str:
@@ -118,9 +125,7 @@ def generators_text(gens: GeneratorCensus) -> str:
             lines.append(
                 "split=" + ",".join(f"{name}:{size}x{count}" for name, size, count in split)
             )
-        for orb in sorted(
-            cls.closure_partition.orbits, key=lambda o: encode_square(o.generator)
-        ):
+        for orb in cls.closure_partition.orbits:
             lines.append(f"generator size={orb.size} square={encode_square(orb.generator)}")
     lines.append("")
     return "\n".join(lines)
@@ -247,7 +252,6 @@ class PipelineSummary:
     square_count: int
     generator_count: int | None
     out_dir: Path
-    discrepancies: int = 0
 
 
 def run_pipeline(
@@ -262,15 +266,18 @@ def run_pipeline(
 
     Orders 3 and 4 write catalog, classification (order 4), group
     listings, generator report, report.json, discrepancies.json and
-    summary.txt; they take no shard plan.  Order 5 requires long_run=True
-    and executes a resumable count-only shard plan (default: one shard per
-    value of the first trial cell), then writes report.json and summary.txt.
+    summary.txt; they take neither long_run nor a shard plan.  Order 5
+    requires long_run=True and executes a resumable count-only shard plan
+    (default: one shard per value of the first trial cell), then writes
+    report.json and summary.txt.
     """
     out = Path(out_dir)
     log = log or (lambda msg: print(msg, file=sys.stderr))
     if order in (3, 4):
         if shards is not None:
             raise ValueError(f"a shard plan applies to order 5 only, not order {order}")
+        if long_run:
+            raise ValueError(f"a long run applies to order 5 only, not order {order}")
         return _run_small(order, out, fmt, log)
     if order == 5:
         if not long_run:
@@ -310,9 +317,7 @@ def _run_small(order: int, out: Path, fmt: str, log) -> PipelineSummary:
     )
     write_atomic(out / SUMMARY_NAME, emit_report(data))
     log(f"# stage=report discrepancies={len(gens.discrepancies)}")
-    return PipelineSummary(
-        order, len(squares), gens.total_generators, out, len(gens.discrepancies)
-    )
+    return PipelineSummary(order, len(squares), gens.total_generators, out)
 
 
 def _shard_tag(shard: Shard) -> str:

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from magicgen import classifier
 from magicgen.classifier import (
     DUDENEY_POPULATIONS,
     ROMAN,
@@ -22,7 +23,14 @@ from magicgen.classifier import (
 )
 from magicgen.constraints import build_system
 from magicgen.groups import canonical_key
-from magicgen.squares import grid_symmetries, is_normal_magic, parse_square
+from magicgen.pipeline import classify_catalog
+from magicgen.squares import (
+    Square,
+    encode_square,
+    grid_symmetries,
+    is_normal_magic,
+    parse_square,
+)
 
 DURER_BASIS = (16, 3, 2, 5, 10, 11, 9)
 FREE_CELLS = build_system(4).free_cells
@@ -190,3 +198,43 @@ class TestFastClassifier:
             fc.classify((1, 3, 15, 2, 4, 5, 6))
         with pytest.raises(ValueError, match="7 basis values"):
             fc.classify((1, 2, 3))
+
+
+class TestClassifyCatalog:
+    def test_records_match_label_of(self, catalog4, census4):
+        records = classify_catalog(catalog4, census4)
+        assert [r.line for r in records] == list(range(len(catalog4)))
+        for sq, rec in zip(catalog4, records):
+            label = census4.label_of(sq)
+            assert rec.encoding == encode_square(sq)
+            assert (rec.dudeney, rec.trigg, rec.vi_split) == (
+                label.dudeney,
+                label.trigg,
+                label.vi_split,
+            )
+            assert rec.broken_diagonals == count_magic_broken_diagonals(sq)
+            assert rec.orbit_id is None and rec.is_generator is None
+
+    def test_reads_labels_from_the_census(self, catalog4, census4, monkeypatch):
+        expected = classify_catalog(catalog4, census4)
+
+        def no_signature(square):
+            raise AssertionError("classify_catalog computed a signature")
+
+        counted = []
+        sums = classifier.broken_diagonal_sums
+
+        def counting_sums(square):
+            counted.append(square.cells)
+            return sums(square)
+
+        monkeypatch.setattr(classifier, "signature", no_signature)
+        monkeypatch.setattr(classifier, "broken_diagonal_sums", counting_sums)
+        assert classify_catalog(catalog4, census4) == expected
+        # Broken diagonals are counted once per square, VI split included.
+        assert sorted(counted) == sorted(sq.cells for sq in catalog4)
+
+    def test_square_outside_the_census_rejected(self, catalog4, census4):
+        outside = Square(4, tuple(range(1, 17)))
+        with pytest.raises(ValueError, match="not in the census"):
+            classify_catalog(catalog4[:3] + [outside], census4)

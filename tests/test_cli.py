@@ -240,6 +240,26 @@ def test_pipeline_shard_plan_needs_order5(order, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("order", ["3", "4"])
+def test_pipeline_long_run_needs_order5(order, tmp_path, capsys):
+    out = tmp_path / "p"
+    with pytest.raises(ValueError, match="order 5 only"):
+        run_pipeline(int(order), out, long_run=True, log=lambda m: None)
+    argv = ["pipeline", "--order", order, "--out-dir", str(out), "--long-run"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: stage=pipeline ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("order", ["3", "4"])
+def test_enumerate_long_run_needs_order5(order, tmp_path, capsys):
+    out = tmp_path / "cat.txt"
+    argv = ["enumerate", "--order", order, "--long-run", "--out", str(out)]
+    assert main(argv) == 1
+    assert "--long-run applies to order 5 only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_order5_requires_long_run(tmp_path, capsys):
     code = main(["pipeline", "--order", "5", "--out-dir", str(tmp_path / "p5")])
     assert code == 1
