@@ -17,6 +17,7 @@ from typing import Iterable, Iterator
 from .squares import Square, encode_square, is_normal_magic, parse_square
 
 FORMAT_LINE = "# format=1"
+ORDER_PREFIX = "# order="
 
 
 def write_atomic(path: str | os.PathLike, text: str) -> None:
@@ -42,15 +43,20 @@ def write_atomic(path: str | os.PathLike, text: str) -> None:
         raise
 
 
-def _data_lines(path: Path) -> Iterator[str]:
+def _lines(path: Path) -> Iterator[str]:
+    """Non-empty lines after the format header, comment lines included."""
     with path.open() as fh:
         first = fh.readline().rstrip("\n")
         if first != FORMAT_LINE:
             raise ValueError(f"{path}: missing '{FORMAT_LINE}' header")
         for line in fh:
             line = line.rstrip("\n")
-            if line and not line.startswith("#"):
+            if line:
                 yield line
+
+
+def _data_lines(path: Path) -> Iterator[str]:
+    return (line for line in _lines(path) if not line.startswith("#"))
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +64,32 @@ def _data_lines(path: Path) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 
 def catalog_text(squares: Iterable[Square], order: int) -> str:
-    lines = [FORMAT_LINE, f"# order={order}"]
+    lines = [FORMAT_LINE, f"{ORDER_PREFIX}{order}"]
     lines.extend(encode_square(sq) for sq in squares)
     lines.append("")
     return "\n".join(lines)
 
 
+def _catalog_lines(path: Path, order: int | None) -> Iterator[tuple[str, int | None]]:
+    """Each square line of a catalog with the order to parse it at.
+
+    An `# order=N` line, as catalog_text writes, fixes the order for the
+    rest of the file; a given `order` or an earlier such line that says
+    otherwise is an error.  Until then `order` applies, and None infers
+    each line's order from its token count.
+    """
+    for line in _lines(path):
+        if line.startswith(ORDER_PREFIX):
+            declared = int(line[len(ORDER_PREFIX):])
+            if order is not None and declared != order:
+                raise ValueError(f"{path}: catalog of order {declared}, not order {order}")
+            order = declared
+        elif not line.startswith("#"):
+            yield line, order
+
+
 def read_catalog(path: str | os.PathLike, order: int | None = None) -> list[Square]:
-    return [parse_square(line, order) for line in _data_lines(Path(path))]
+    return [parse_square(line, n) for line, n in _catalog_lines(Path(path), order)]
 
 
 @dataclass(frozen=True)
@@ -80,9 +104,9 @@ def verify_catalog(path: str | os.PathLike, order: int | None = None) -> Catalog
     problems: list[str] = []
     seen: set[tuple[int, ...]] = set()
     count = 0
-    for lineno, line in enumerate(_data_lines(Path(path))):
+    for lineno, (line, n) in enumerate(_catalog_lines(Path(path), order)):
         try:
-            sq = parse_square(line, order)
+            sq = parse_square(line, n)
         except ValueError as exc:
             problems.append(f"line {lineno}: {exc}")
             continue

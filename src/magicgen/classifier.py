@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .constraints import build_system, dependent_cells_order4, validate_grid
+from .constraints import build_system, dependent_cells_order4
 from .squares import (
     Square,
     broken_diagonal_sums,
@@ -292,11 +292,10 @@ class FastClassifier:
         label = self._table.get(self._basis_key(basis))
         if label is not None and label.dudeney != "VI":
             return label
-        grid = dependent_cells_order4(tuple(basis))
-        check = validate_grid(grid)
-        if not check.ok:
-            raise ValueError(f"basis does not define a magic square: {check.reason}")
-        square = Square(4, grid)
+        try:
+            square = Square(4, dependent_cells_order4(basis))
+        except ValueError as exc:
+            raise ValueError(f"basis does not define a magic square: {exc}") from None
         if label is None:
             self.fallbacks += 1
             return self._census.label_of(square)

@@ -158,9 +158,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.what != "basis":
-        print(f"error: unknown analysis {args.what!r}", file=sys.stderr)
-        return 1
     n = args.order
     system = build_system(n)
     print("# format=1")
@@ -184,7 +181,6 @@ def _cmd_pipeline(args) -> int:
             args.out_dir,
             long_run=args.long_run,
             shards=shards,
-            fmt=args.format,
         )
     except ValueError as exc:
         print(f"error: stage=pipeline {exc}", file=sys.stderr)
@@ -250,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True, choices=(3, 4, 5))
     p.add_argument("--out-dir", required=True)
     p.add_argument("--long-run", action="store_true")
-    p.add_argument("--format", choices=("tsv", "kv"), default="tsv")
     p.add_argument(
         "--shard-value",
         action="append",

@@ -9,12 +9,19 @@ Elimination runs over exact rationals.  Pivot columns are chosen scanning
 cells in *reverse* reading order, so the cells that stay free are the
 earliest ones in reading order; for order 4 this makes the basis the
 cells named a, b, c, e, f, g, i (indices 0, 1, 2, 4, 5, 6, 8).
+
+That solution is the only derivation of dependent cells: the search
+engine compiles it, and dependent_cells_order4 evaluates it for one
+order-4 basis.  Whether the resulting values form a normal square (range
+1..n^2, no repeats) is checked by Square, not here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .squares import magic_constant
@@ -53,11 +60,7 @@ class Dependency:
         value = (const_numerator + sum(num * cell_value)) / denominator,
         exact; non-divisible numerators mean no integer solution.
         """
-        denoms = [self.const.denominator] + [c.denominator for _, c in self.terms]
-        lcm = 1
-        for d in denoms:
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
+        lcm = math.lcm(self.const.denominator, *(c.denominator for _, c in self.terms))
         const_num = int(self.const * lcm)
         terms = tuple((cell, int(coeff * lcm)) for cell, coeff in self.terms)
         return lcm, const_num, terms
@@ -80,12 +83,6 @@ class Dependency:
 
 def _fmt_frac(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -183,53 +180,29 @@ def build_system(n: int) -> ConstraintSystem:
     )
 
 
+@lru_cache(maxsize=None)
+def _order4_forms() -> tuple[tuple[int, ...], tuple]:
+    system = build_system(4)
+    return system.free_cells, tuple(
+        (dep.cell,) + dep.integer_form() for dep in system.dependencies
+    )
+
+
 def dependent_cells_order4(basis: Sequence[int]) -> tuple[int, ...]:
     """Full 16-cell grid from the order-4 basis (a, b, c, e, f, g, i).
 
-    Uses the closed-form solution of the ten line constraints; the result
-    always satisfies every line sum, but its values may fall outside 1..16
-    or collide -- validity is a separate check (validate_grid).
+    Evaluates the exactly solved system of build_system(4), built once per
+    process.  Every order-4 dependency has integer coefficients (its
+    integer_form denominator is 1), so an integer basis gives an integer
+    grid that satisfies every line sum; its values may still fall outside
+    1..16 or collide, which Square(4, grid) rejects.
     """
     if len(basis) != 7:
         raise ValueError(f"expected 7 basis values, got {len(basis)}")
-    a, b, c, e, f, g, i = basis
-    mu = magic_constant(4)
-    d = mu - a - b - c
-    h = mu - e - f - g
-    j = 2 * a + b + c + e - g + i - mu
-    k = 2 * mu - 2 * a - b - c - e - f - i
-    l = f + g - i
-    m = mu - a - e - i
-    n = 2 * mu - 2 * a - 2 * b - c - e - f + g - i
-    o = 2 * a + b + e + f - g + i - mu
-    p = a + b + c + e + i - mu
-    return (a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p)
-
-
-@dataclass(frozen=True)
-class GridCheck:
-    """Verdict from validate_grid; `cell` is the first offender in reading order."""
-
-    ok: bool
-    cell: int | None = None
-    reason: str | None = None
-
-
-def validate_grid(grid: Sequence[int]) -> GridCheck:
-    """Accept iff all values lie in 1..len(grid) and are pairwise distinct.
-
-    Also accepts exact rationals from ConstraintSystem.solve, rejecting
-    any that are not whole numbers.
-    """
-    n2 = len(grid)
-    seen: set[int] = set()
-    for idx, v in enumerate(grid):
-        if v != int(v):
-            return GridCheck(False, idx, f"non-integer value {v}")
-        v = int(v)
-        if not 1 <= v <= n2:
-            return GridCheck(False, idx, f"value {v} outside 1..{n2}")
-        if v in seen:
-            return GridCheck(False, idx, f"duplicate value {v}")
-        seen.add(v)
-    return GridCheck(True)
+    free_cells, forms = _order4_forms()
+    grid = [0] * 16
+    for cell, v in zip(free_cells, basis):
+        grid[cell] = v
+    for cell, den, const, terms in forms:
+        grid[cell] = (const + sum(num * grid[c] for c, num in terms)) // den
+    return tuple(grid)

@@ -588,12 +588,15 @@ def enumerate_shards_parallel(
 ) -> Iterator[Square]:
     """Run shards on worker processes, yielding in shard order.
 
+    The plan must pass checked_plan (one prefix depth, no prefix
+    repeated) before any worker starts, so no square is yielded twice.
     Each worker owns one shard's search exclusively; results are buffered
     per shard and concatenated in the order the shards were given, so the
     stream is byte-identical to running the same shards serially.
     """
     from concurrent.futures import ProcessPoolExecutor
 
+    checked_plan(n, shards)
     args = [(n, tuple(s.prefix), limit_per_shard) for s in shards]
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         for cells_list in pool.map(_shard_worker, args):

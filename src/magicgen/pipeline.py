@@ -259,7 +259,6 @@ def run_pipeline(
     out_dir: str | Path,
     long_run: bool = False,
     shards: Sequence[Shard] | None = None,
-    fmt: str = "tsv",
     log=None,
 ) -> PipelineSummary:
     """Run every stage for the given order and persist all artifacts.
@@ -278,7 +277,7 @@ def run_pipeline(
             raise ValueError(f"a shard plan applies to order 5 only, not order {order}")
         if long_run:
             raise ValueError(f"a long run applies to order 5 only, not order {order}")
-        return _run_small(order, out, fmt, log)
+        return _run_small(order, out, log)
     if order == 5:
         if not long_run:
             raise ValueError(
@@ -289,7 +288,7 @@ def run_pipeline(
     raise ValueError(f"unsupported order {order}")
 
 
-def _run_small(order: int, out: Path, fmt: str, log) -> PipelineSummary:
+def _run_small(order: int, out: Path, log) -> PipelineSummary:
     squares = list(iter_squares(order))
     log(f"# stage=enumerate count={len(squares)}")
     write_atomic(out / "catalog.txt", catalog_text(squares, order))
@@ -299,7 +298,7 @@ def _run_small(order: int, out: Path, fmt: str, log) -> PipelineSummary:
         log("# stage=classify classes=12")
         gens = generator_census(dudeney)
         records = attach_orbits(classify_catalog(squares, dudeney), gens)
-        write_atomic(out / "classes.tsv", classification_text(records, fmt))
+        write_atomic(out / "classes.tsv", classification_text(records))
     else:
         # Without Dudeney/Trigg classes the whole catalog is one class.
         gens = compared_census([class_census("order3", squares, "order3")])

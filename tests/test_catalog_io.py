@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import threading
+from itertools import islice
 
 import pytest
 
@@ -15,6 +16,7 @@ from magicgen.catalog import (
     write_atomic,
 )
 from magicgen.enumerator import iter_squares
+from magicgen.squares import encode_square
 
 
 @pytest.fixture
@@ -62,6 +64,51 @@ def test_verify_catalog_flags_problems(tmp_path):
     joined = "\n".join(verdict.problems)
     assert "duplicate" in joined
     assert "not magic" in joined
+
+
+def _mixed_catalog(tmp_path):
+    """An order-4 header over 8 order-3 squares and 3 order-4 squares."""
+    path = tmp_path / "mixed.txt"
+    text = catalog_text(iter_squares(3), 4)
+    text += "".join(encode_square(sq) + "\n" for sq in islice(iter_squares(4), 3))
+    path.write_text(text)
+    return path
+
+
+def test_read_catalog_parses_at_header_order(tmp_path):
+    path = _mixed_catalog(tmp_path)
+    with pytest.raises(ValueError, match="expected 16 values for order 4, got 9"):
+        read_catalog(path)
+    path.write_text(catalog_text(iter_squares(3), 3))
+    assert len(read_catalog(path)) == 8
+    assert len(read_catalog(path, 3)) == 8
+
+
+def test_order_contradicting_header_rejected(tmp_path):
+    path = tmp_path / "cat3.txt"
+    path.write_text(catalog_text(iter_squares(3), 3))
+    with pytest.raises(ValueError, match="catalog of order 3, not order 4"):
+        read_catalog(path, 4)
+    with pytest.raises(ValueError, match="catalog of order 3, not order 4"):
+        verify_catalog(path, 4)
+    path.write_text(catalog_text(iter_squares(3), 3) + "# order=4\n")
+    with pytest.raises(ValueError, match="catalog of order 4, not order 3"):
+        read_catalog(path)
+
+
+def test_verify_catalog_at_header_order(tmp_path):
+    verdict = verify_catalog(_mixed_catalog(tmp_path))
+    assert not verdict.ok
+    assert verdict.count == 3
+    assert verdict.problems[0] == "line 0: expected 16 values for order 4, got 9"
+    assert len(verdict.problems) == 8
+
+
+def test_catalog_without_order_line_infers_per_line(tmp_path):
+    path = tmp_path / "bare.txt"
+    path.write_text("# format=1\n4 9 2 3 5 7 8 1 6\n")
+    assert [sq.order for sq in read_catalog(path)] == [3]
+    assert verify_catalog(path).ok
 
 
 RECORDS = [

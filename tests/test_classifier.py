@@ -194,7 +194,7 @@ class TestFastClassifier:
 
     def test_invalid_basis_rejected(self, census4):
         fc = FastClassifier.from_census(census4)
-        with pytest.raises(ValueError, match="magic square"):
+        with pytest.raises(ValueError, match="magic square: cell 3 repeats the value 15"):
             fc.classify((1, 3, 15, 2, 4, 5, 6))
         with pytest.raises(ValueError, match="7 basis values"):
             fc.classify((1, 2, 3))

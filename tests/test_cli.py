@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
+from itertools import islice
 
 import pytest
 
 from magicgen import generators
 from magicgen.cli import main
-from magicgen.catalog import read_catalog, read_classification
-from magicgen.enumerator import Shard, count_squares, single_cell_shards
+from magicgen.catalog import catalog_text, read_catalog, read_classification
+from magicgen.enumerator import Shard, count_squares, iter_squares, single_cell_shards
 from magicgen.pipeline import emit_report, report_data, run_pipeline
+from magicgen.squares import encode_square
 
 # sha256 of `enumerate --order 4 --shard-cell a --shard-value 16 --out`
 # as written before the catalog went through catalog_text.
@@ -83,6 +86,19 @@ def test_verify_command(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("# format=1\n1 2 3 4 5 6 7 8 9\n")
     assert main(["verify", "--in", str(bad)]) == 1
+
+
+def test_verify_reads_at_header_order(tmp_path, capsys):
+    # An order-4 header over 8 order-3 squares and 3 order-4 squares.
+    mixed = tmp_path / "mixed.txt"
+    order4 = "".join(encode_square(sq) + "\n" for sq in islice(iter_squares(4), 3))
+    mixed.write_text(catalog_text(iter_squares(3), 4) + order4)
+    assert main(["verify", "--in", str(mixed)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL: line 0: expected 16 values for order 4, got 9" in out
+    assert "OK" not in out
+    assert main(["verify", "--in", str(mixed), "--order", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
@@ -229,6 +245,19 @@ def test_order3_compared_with_its_published_census(tmp_path, monkeypatch):
     ]
     summary = (out / "summary.txt").read_text()
     assert "order3.orbit_histogram: expected {4: 2}, computed {8: 1}" in summary
+
+
+@pytest.mark.parametrize("order", ["3", "4", "5"])
+def test_pipeline_has_no_format_option(order, tmp_path, capsys):
+    # Classification output format belongs to `classify --format`; the
+    # pipeline always writes classes.tsv as tab-separated rows.
+    assert "fmt" not in inspect.signature(run_pipeline).parameters
+    out = tmp_path / "p"
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--order", order, "--out-dir", str(out), "--format", "kv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format kv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("order", ["3", "4"])

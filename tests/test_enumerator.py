@@ -101,6 +101,23 @@ class TestShards:
         ]
         assert parallel == serial
 
+    @pytest.mark.parametrize(
+        "prefixes, match",
+        [
+            ([(1,), (1,)], "repeats prefix"),
+            ([(1,), (1, 2)], "mixes prefix depths"),
+            ([(1,), (1,), (1, 2)], "repeats prefix"),
+            ([(2, 3), (5,)], "mixes prefix depths"),
+        ],
+        ids=["repeated", "nested", "repeated-and-nested", "mixed-depth"],
+    )
+    def test_parallel_rejects_overlapping_plan(self, prefixes, match):
+        # Repeated and nested prefixes would yield a subtree twice; any mix
+        # of depths is rejected the same way.
+        shards = [Shard(p) for p in prefixes]
+        with pytest.raises(ValueError, match=match):
+            next(enumerate_shards_parallel(4, shards, max_workers=2))
+
 
 class TestOrderFive:
     def test_leading_shard_squares_are_magic_and_round_trip(self):
