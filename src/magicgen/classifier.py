@@ -21,6 +21,7 @@ the 12 classes from a full catalog, and names them:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .constraints import build_system, dependent_cells_order4
@@ -126,7 +127,7 @@ class SignatureClass:
     def population(self) -> int:
         return len(self.members)
 
-    @property
+    @cached_property
     def min_encoding(self) -> str:
         return min(encode_square(sq) for sq in self.members)
 
@@ -283,20 +284,20 @@ class FastClassifier:
     def classify(self, basis: Sequence[int]) -> ClassLabel:
         """Label for the square defined by the 7-value basis.
 
-        The basis must define a valid normal magic square; the dependent
-        cells are derived only when the partial scan is ambiguous or the
-        class needs the VI broken-diagonal split.
+        The dependent cells are always derived, so a basis that defines no
+        normal magic square is rejected; the full signature path runs only
+        when the partial scan is ambiguous.
         """
         if len(basis) != 7:
             raise ValueError(f"expected 7 basis values, got {len(basis)}")
-        label = self._table.get(self._basis_key(basis))
-        if label is not None and label.dudeney != "VI":
-            return label
         try:
             square = Square(4, dependent_cells_order4(basis))
         except ValueError as exc:
             raise ValueError(f"basis does not define a magic square: {exc}") from None
+        label = self._table.get(self._basis_key(basis))
         if label is None:
             self.fallbacks += 1
             return self._census.label_of(square)
+        if label.dudeney != "VI":
+            return label
         return with_vi_split(label, count_magic_broken_diagonals(square))

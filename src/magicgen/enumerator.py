@@ -19,16 +19,27 @@ A Shard fixes the values of the first k trial cells, so shards with
 distinct prefixes explore disjoint subtrees and the union over all
 prefixes covers the whole space; this is the unit of parallel and
 resumable work.
+
+A full order-4 run (no shard) searches only a 32nd of the tree.  The 32
+(row perm, column perm, transpose) triples of _line_group keep every
+square magic, and since a square's values are distinct they act freely:
+every orbit holds 32 squares.  The search keeps the squares that are
+least in their orbit (220 of 7,040), maps each through the 32 cell maps,
+checks that the images are pairwise distinct, and sorts them by trial
+values.  A plain search emits in exactly that order, so the stream is
+unchanged.  Sharded order-4 runs keep the hand-unrolled search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .constraints import build_system
-from .squares import Square, magic_constant
+from .squares import Square, Transformation, magic_constant
 
 SUPPORTED_ORDERS = (3, 4, 5)
 
@@ -136,6 +147,53 @@ def _plan(n: int) -> _Plan:
     )
 
 
+@lru_cache(maxsize=None)
+def _line_group(n: int) -> tuple[tuple[int, ...], ...]:
+    """Cell maps of the triples that keep every order-n magic square magic.
+
+    The row perm p commutes with i -> n-1-i, the column perm is p or
+    (n-1-.) o p, and the transpose is optional: diagonals go to diagonals
+    and rows and columns to rows and columns.  32 maps at orders 4 and 5.
+    """
+    maps = []
+    for p in permutations(range(n)):
+        if all(p[n - 1 - i] == n - 1 - p[i] for i in range(n)):
+            for q in (p, tuple(n - 1 - v for v in p)):
+                for t in (False, True):
+                    maps.append(Transformation(p, q, t).cell_map())
+    return tuple(maps)
+
+
+@lru_cache(maxsize=None)
+def _orbit_floors(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Cells that exceed trial cells 0 and 1 in an orbit-least square.
+
+    A square is least in its orbit under _line_group when trial cell 0 is
+    below every other cell of its orbit, and trial cell 1 below every other
+    cell of its orbit under cell 0's stabiliser.  The group acts freely, so
+    the first condition keeps the images under one coset of the stabiliser
+    and the second exactly one of those: one image per orbit passes.
+    """
+    maps = _line_group(n)
+    plan = _plan(n)
+    first, second = plan.trials[:2]
+    stabiliser = [m for m in maps if m[first] == first]
+    above_first = tuple(sorted({m[first] for m in maps} - {first}))
+    above_second = tuple(sorted({m[second] for m in stabiliser} - {second}))
+    placed = {cell: level for level, cell in enumerate(plan.trials)}
+    for level, deps in enumerate(plan.forced):
+        placed.update((dep[0], level) for dep in deps)
+    # Exactly one image passes only if the stabiliser moves the second cell
+    # freely, and a floor holds only for cells placed after its anchor.
+    if (
+        len(above_second) + 1 != len(stabiliser)
+        or any(placed.get(c, -1) < 1 for c in above_first)
+        or any(placed.get(c, -1) < 2 for c in above_second)
+    ):
+        raise ValueError(f"order {n} has no orbit-least floors")  # unreachable at 4 and 5
+    return above_first, above_second
+
+
 def _checked_prefix(n: int, shard: Shard | None) -> tuple[int, ...]:
     if shard is None:
         return ()
@@ -172,7 +230,9 @@ def checked_plan(n: int, shards: Sequence[Shard]) -> int:
     return depth
 
 
-def _iter_generic(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _iter_generic(
+    n: int, prefix: tuple[int, ...], least: bool = False
+) -> Iterator[tuple[int, ...]]:
     """Propagating backtracker over the free-cell basis.
 
     Iterative depth-first search, one stack level per trial cell.  Two
@@ -188,6 +248,12 @@ def _iter_generic(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
     The candidate scan is ascending, so the emission order is the plain
     lexicographic order of trial assignments.
+
+    Every cell has a floor its value must exceed, 0 unless `least`.  With
+    `least`, entering levels 1 and 2 sets the floors of _orbit_floors to
+    the values of trial cells 0 and 1, so only orbit-least squares are
+    emitted.  A trial scan starts at its cell's floor + 1, and a
+    dependent's v-window keeps it above its floor.
     """
     plan = _plan(n)
     n2 = n * n
@@ -212,6 +278,11 @@ def _iter_generic(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         for line in lines_of[cell]:
             rem[line] -= 1
             acc[line] += v
+
+    floor = [0] * n2
+    floors_from: list[tuple[int, ...]] = [()] * (last + 1)
+    if least:
+        floors_from[1], floors_from[2] = _orbit_floors(n)
 
     tvals = [0] * last
     trial_lines = [lines_of[trials[lv]] for lv in range(last)]
@@ -261,7 +332,9 @@ def _iter_generic(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     while True:
         if entering:
             # Compute the candidate window for `level`.
-            lo, hi = 1, n2
+            for cell in floors_from[level]:
+                floor[cell] = tvals[level - 1]
+            lo, hi = floor[trials[level]] + 1, n2
             for line in trial_lines[level]:
                 r = rem[line] - 1
                 base = mu - acc[line]
@@ -277,12 +350,14 @@ def _iter_generic(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             for fcell, den, base, terms, m in forced[level]:
                 for tpos, num in terms:
                     base += num * tvals[tpos]
+                # The dependent's scaled value must reach den * (floor + 1).
+                low = den * (floor[fcell] + 1)
                 if m > 0:
-                    vlo = -((base - den) // m)
+                    vlo = -((base - low) // m)
                     vhi = (n2 * den - base) // m
                 else:
                     vlo = -((base - n2 * den) // m)
-                    vhi = (den - base) // m
+                    vhi = (low - base) // m
                 if vlo > lo:
                     lo = vlo
                 if vhi < hi:
@@ -405,7 +480,7 @@ def _iter_generic(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 
 def _iter_order4(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Hand-unrolled order-4 search; same tree as the generic engine.
+    """Hand-unrolled search of an order-4 shard; same tree as the generic engine.
 
     The dependent-cell formulas are inlined with their g-independent parts
     hoisted out of each loop, and a bitmask over values 1..16 replaces the
@@ -524,6 +599,18 @@ def _iter_order4(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                                 yield (a, b, c, d, e, f, g, h, i, j, k, l, m, nn, o, p)
 
 
+def _order4_by_orbits() -> list[tuple[int, ...]]:
+    """Every order-4 square, in emission order, from the orbit-least ones."""
+    images = [itemgetter(*m) for m in _line_group(4)]
+    least = _iter_generic(4, (), least=True)
+    squares = [image(cells) for cells in least for image in images]
+    if len(set(squares)) != len(squares):
+        # Unreachable while the maps form a group acting freely.
+        raise RuntimeError("orbit images of the order-4 search repeat a square")
+    squares.sort(key=itemgetter(*trial_cells(4)))
+    return squares
+
+
 def _raw_iter(n: int, shard: Shard | None) -> Iterator[tuple[int, ...]]:
     if n not in SUPPORTED_ORDERS:
         raise ValueError(
@@ -531,7 +618,7 @@ def _raw_iter(n: int, shard: Shard | None) -> Iterator[tuple[int, ...]]:
         )
     prefix = _checked_prefix(n, shard)
     if n == 4:
-        return _iter_order4(prefix)
+        return _iter_order4(prefix) if prefix else iter(_order4_by_orbits())
     return _iter_generic(n, prefix)
 
 

@@ -26,6 +26,23 @@ def universe(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...
     return tuple((rp, cp, t) for t in (False, True) for rp in perms for cp in perms)
 
 
+# Per order: the cells that must exceed a00 (the other cells of the two
+# diagonals, the order-5 centre excepted, which every map fixes), then the
+# cells that must exceed a01 (its mirror a0,n-2 and the transposes a10 and
+# an-2,0).
+LEAST = {
+    4: ((3, 5, 6, 9, 10, 12, 15), (2, 4, 8)),
+    5: ((4, 6, 8, 16, 18, 20, 24), (3, 5, 15)),
+}
+
+
+def is_least(cells: tuple[int, ...], n: int) -> bool:
+    above_a00, above_a01 = LEAST[n]
+    return all(cells[0] < cells[c] for c in above_a00) and all(
+        cells[1] < cells[c] for c in above_a01
+    )
+
+
 def pytest_runtest_logreport(report):
     if report.when != "call" or "test_acceptance" not in report.nodeid:
         return

@@ -88,6 +88,20 @@ def test_labels_deterministic(catalog4, census4):
     ]
 
 
+def test_census_encodes_each_square_once(catalog4, monkeypatch):
+    # discover_classes and assign_labels both sort by min_encoding.
+    calls = Counter()
+
+    def counting(sq):
+        calls[sq.cells] += 1
+        return encode_square(sq)
+
+    monkeypatch.setattr(classifier, "encode_square", counting)
+    DudeneyCensus.from_catalog(catalog4)
+    assert len(calls) == 7040
+    assert set(calls.values()) == {1}
+
+
 def test_incomplete_catalog_rejected(catalog4):
     with pytest.raises(ValueError, match="incomplete catalog"):
         discover_classes(catalog4[:100])
@@ -196,6 +210,9 @@ class TestFastClassifier:
         fc = FastClassifier.from_census(census4)
         with pytest.raises(ValueError, match="magic square: cell 3 repeats the value 15"):
             fc.classify((1, 3, 15, 2, 4, 5, 6))
+        # Its partial scan alone would say X/C; the derived grid holds -9 and 26.
+        with pytest.raises(ValueError, match="magic square: cell 3 holds 19, outside"):
+            fc.classify((6, 5, 4, 3, 12, 13, 14))
         with pytest.raises(ValueError, match="7 basis values"):
             fc.classify((1, 2, 3))
 

@@ -3,12 +3,17 @@ from __future__ import annotations
 from itertools import islice, permutations
 
 import pytest
+from conftest import is_least
 
+from magicgen import enumerator
 from magicgen.constraints import build_system
 from magicgen.enumerator import (
     Shard,
     _iter_generic,
     _iter_order4,
+    _line_group,
+    _order4_by_orbits,
+    _orbit_floors,
     count_squares,
     enumerate_shards_parallel,
     iter_squares,
@@ -62,6 +67,29 @@ def test_determinism_two_runs_identical():
 @pytest.mark.parametrize("prefix", [(1,), (7,), (16,), (1, 15)])
 def test_order4_fast_path_equals_generic_engine(prefix):
     assert list(_iter_order4(prefix)) == list(_iter_generic(4, prefix))
+
+
+class TestOrbitLeastOrder4:
+    """The unsharded order-4 run: 220 orbit-least squares times 32 maps."""
+
+    def test_full_run_equals_concatenated_unrolled_shards(self, catalog4):
+        shards = [sq.cells for s in single_cell_shards(4) for sq in iter_squares(4, s)]
+        assert [sq.cells for sq in catalog4] == shards
+
+    def test_least_squares_are_the_catalog_squares_passing_the_predicate(self, catalog4):
+        least = list(_iter_generic(4, (), least=True))
+        assert len(least) == 220
+        assert len(least) * len(_line_group(4)) == 7040
+        assert least == [sq.cells for sq in catalog4 if is_least(sq.cells, 4)]
+
+    def test_repeated_image_raises(self, monkeypatch):
+        # A map listed twice would emit its images twice.  The floors are
+        # cached from the true group first, so only the expansion sees it.
+        maps = _line_group(4)
+        _orbit_floors(4)
+        monkeypatch.setattr(enumerator, "_line_group", lambda n: maps[:1] + maps[:-1])
+        with pytest.raises(RuntimeError, match="repeat a square"):
+            _order4_by_orbits()
 
 
 class TestShards:
