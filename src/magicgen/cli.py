@@ -139,7 +139,10 @@ def _cmd_generators(args) -> int:
 
 def _cmd_report(args) -> int:
     data = json.loads((Path(args.dir) / REPORT_JSON).read_text())
-    text = emit_report(data)
+    try:
+        text = emit_report(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"bad {REPORT_JSON}: {exc!r}") from exc
     out = args.out or str(Path(args.dir) / SUMMARY_NAME)
     write_atomic(out, text)
     sys.stdout.write(text)

@@ -27,7 +27,11 @@ every orbit holds 32 squares.  The search keeps the squares that are
 least in their orbit (220 of 7,040), maps each through the 32 cell maps,
 checks that the images are pairwise distinct, and sorts them by trial
 values.  A plain search emits in exactly that order, so the stream is
-unchanged.  Sharded order-4 runs keep the hand-unrolled search.
+unchanged.  The expanded catalog is kept for the life of the process, and
+an order-4 shard is the part of it whose leading trial values equal the
+shard's prefix.  A shard's subtree holds exactly those squares, and a
+filter keeps the catalog's order, so each shard emits what a search of
+its subtree would, in the same order.
 """
 
 from __future__ import annotations
@@ -479,128 +483,13 @@ def _iter_generic(
         entering = True
 
 
-def _iter_order4(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Hand-unrolled search of an order-4 shard; same tree as the generic engine.
+@lru_cache(maxsize=None)
+def _order4_by_orbits() -> tuple[tuple[int, ...], ...]:
+    """Every order-4 square, in emission order, from the orbit-least ones.
 
-    The dependent-cell formulas are inlined with their g-independent parts
-    hoisted out of each loop, and a bitmask over values 1..16 replaces the
-    used-value set.  Emits cells in the order a,b,c,d,...,p (reading order).
+    Built once per process on first use; every order-4 run, sharded or
+    not, reads this tuple.
     """
-    if len(prefix) > 2:
-        yield from _iter_generic(4, prefix)
-        return
-    a_vals: Sequence[int] = (prefix[0],) if len(prefix) >= 1 else range(1, 17)
-    b_fixed = prefix[1] if len(prefix) >= 2 else None
-    for a in a_vals:
-        ua = 1 << a
-        a2 = 2 * a
-        for b in ((b_fixed,) if b_fixed is not None else range(1, 17)):
-            if ua >> b & 1:
-                continue
-            ub = ua | 1 << b
-            sab = a + b
-            for c in range(1, 17):
-                if ub >> c & 1:
-                    continue
-                d = 34 - sab - c
-                if d < 1 or d > 16:
-                    continue
-                ud = ub | 1 << c
-                if ud >> d & 1 or d == c:
-                    continue
-                ud |= 1 << d
-                sabc = sab + c
-                sbc = b + c
-                for e in range(1, 17):
-                    if ud >> e & 1:
-                        continue
-                    ue = ud | 1 << e
-                    base_m = 34 - a - e
-                    base_p = sabc + e - 34
-                    for i in range(1, 17):
-                        if ue >> i & 1:
-                            continue
-                        m = base_m - i
-                        if m < 1 or m > 16:
-                            continue
-                        p = base_p + i
-                        if p < 1 or p > 16 or p == m:
-                            continue
-                        ui = ue | 1 << i
-                        if ui >> m & 1:
-                            continue
-                        ui |= 1 << m
-                        if ui >> p & 1:
-                            continue
-                        ui |= 1 << p
-                        base_k = 68 - a2 - sbc - e - i
-                        j0 = a2 + sbc + e + i - 34
-                        n0 = 68 - a2 - b - sbc - e - i
-                        o0 = a2 + b + e + i - 34
-                        for f in range(1, 17):
-                            if ui >> f & 1:
-                                continue
-                            k = base_k - f
-                            if k < 1 or k > 16:
-                                continue
-                            uf = ui | 1 << f
-                            if uf >> k & 1:
-                                continue
-                            uf |= 1 << k
-                            h0 = 34 - e - f
-                            l0 = f - i
-                            nf = n0 - f
-                            of = o0 + f
-                            glo = h0 - 16
-                            if j0 - 16 > glo:
-                                glo = j0 - 16
-                            if of - 16 > glo:
-                                glo = of - 16
-                            if 1 - l0 > glo:
-                                glo = 1 - l0
-                            if 1 - nf > glo:
-                                glo = 1 - nf
-                            if glo < 1:
-                                glo = 1
-                            ghi = h0 - 1
-                            if j0 - 1 < ghi:
-                                ghi = j0 - 1
-                            if of - 1 < ghi:
-                                ghi = of - 1
-                            if 16 - l0 < ghi:
-                                ghi = 16 - l0
-                            if 16 - nf < ghi:
-                                ghi = 16 - nf
-                            if ghi > 16:
-                                ghi = 16
-                            for g in range(glo, ghi + 1):
-                                if uf >> g & 1:
-                                    continue
-                                mask = uf | 1 << g
-                                h = h0 - g
-                                if mask >> h & 1:
-                                    continue
-                                mask |= 1 << h
-                                j = j0 - g
-                                if mask >> j & 1:
-                                    continue
-                                mask |= 1 << j
-                                l = l0 + g
-                                if mask >> l & 1:
-                                    continue
-                                mask |= 1 << l
-                                nn = nf + g
-                                if mask >> nn & 1:
-                                    continue
-                                mask |= 1 << nn
-                                o = of - g
-                                if mask >> o & 1:
-                                    continue
-                                yield (a, b, c, d, e, f, g, h, i, j, k, l, m, nn, o, p)
-
-
-def _order4_by_orbits() -> list[tuple[int, ...]]:
-    """Every order-4 square, in emission order, from the orbit-least ones."""
     images = [itemgetter(*m) for m in _line_group(4)]
     least = _iter_generic(4, (), least=True)
     squares = [image(cells) for cells in least for image in images]
@@ -608,7 +497,7 @@ def _order4_by_orbits() -> list[tuple[int, ...]]:
         # Unreachable while the maps form a group acting freely.
         raise RuntimeError("orbit images of the order-4 search repeat a square")
     squares.sort(key=itemgetter(*trial_cells(4)))
-    return squares
+    return tuple(squares)
 
 
 def _raw_iter(n: int, shard: Shard | None) -> Iterator[tuple[int, ...]]:
@@ -618,7 +507,9 @@ def _raw_iter(n: int, shard: Shard | None) -> Iterator[tuple[int, ...]]:
         )
     prefix = _checked_prefix(n, shard)
     if n == 4:
-        return _iter_order4(prefix) if prefix else iter(_order4_by_orbits())
+        trial_values = itemgetter(*trial_cells(4))
+        k = len(prefix)
+        return (c for c in _order4_by_orbits() if trial_values(c)[:k] == prefix)
     return _iter_generic(n, prefix)
 
 
@@ -677,9 +568,11 @@ def enumerate_shards_parallel(
 
     The plan must pass checked_plan (one prefix depth, no prefix
     repeated) before any worker starts, so no square is yielded twice.
-    Each worker owns one shard's search exclusively; results are buffered
-    per shard and concatenated in the order the shards were given, so the
-    stream is byte-identical to running the same shards serially.
+    Each shard runs on one worker: a search of its subtree, or at order 4
+    a slice of the worker's catalog (inherited when the parent built it
+    before forking).  Results are buffered per shard and concatenated in
+    the order the shards were given, so the stream is byte-identical to
+    running the same shards serially.
     """
     from concurrent.futures import ProcessPoolExecutor
 

@@ -121,7 +121,8 @@ def is_normal_magic(square: Square) -> bool:
 
 
 def _is_magic_grid(cells, n: int) -> bool:
-    # Shared with the enumerator's re-checks; assumes cells is a permutation.
+    # Called by is_normal_magic and by the tests' brute-force oracles;
+    # assumes cells is a permutation.
     mu = magic_constant(n)
     for r in range(n):
         if sum(cells[r * n : (r + 1) * n]) != mu:

@@ -113,6 +113,27 @@ def test_missing_input_is_an_error_not_a_traceback(argv, tmp_path, capsys):
     assert err.startswith("error: ") and str(missing) in err
 
 
+@pytest.mark.parametrize(
+    "report, detail",
+    [
+        ({}, "KeyError('order')"),
+        ([], "TypeError("),
+        ({"order": 4, "square_count": 0, "classes": {}}, "KeyError('total_generators')"),
+        (
+            {"order": 4, "square_count": 0, "total_generators": 0, "classes": []},
+            "AttributeError(",
+        ),
+    ],
+    ids=["empty-object", "list", "classes-without-total", "classes-as-list"],
+)
+def test_malformed_report_is_an_error_not_a_traceback(report, detail, tmp_path, capsys):
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    assert main(["report", "--dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad report.json: {detail}")
+    assert not (tmp_path / "summary.txt").exists()
+
+
 @pytest.mark.parametrize("command", ["group", "generators"])
 def test_malformed_kv_row_is_an_error(command, tmp_path, capsys):
     bad = tmp_path / "bad.kv"

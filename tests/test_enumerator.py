@@ -10,7 +10,6 @@ from magicgen.constraints import build_system
 from magicgen.enumerator import (
     Shard,
     _iter_generic,
-    _iter_order4,
     _line_group,
     _order4_by_orbits,
     _orbit_floors,
@@ -64,16 +63,37 @@ def test_determinism_two_runs_identical():
     assert a == b
 
 
-@pytest.mark.parametrize("prefix", [(1,), (7,), (16,), (1, 15)])
+# The trial values (cells a, b, c, e, i, f, g) of one catalog square fix
+# it completely: a shard prefix of the full basis depth.
+DEEPEST_SQUARE = (4, 1, 15, 14, 13, 16, 2, 3, 6, 7, 9, 12, 11, 10, 8, 5)
+DEEPEST = (4, 1, 15, 13, 6, 16, 2)
+# No order-4 square starts with these trial values.
+EMPTY = (1, 8, 10, 15)
+
+
+@pytest.mark.parametrize(
+    "prefix", [(1,), (7,), (16,), (1, 15), (3, 5, 16), EMPTY, DEEPEST]
+)
 def test_order4_fast_path_equals_generic_engine(prefix):
-    assert list(_iter_order4(prefix)) == list(_iter_generic(4, prefix))
+    # An order-4 shard is a slice of the expanded catalog; the full-mode
+    # generic search of the same subtree is the reference.
+    expected = list(_iter_generic(4, prefix))
+    assert [sq.cells for sq in iter_squares(4, Shard(prefix))] == expected
+    if prefix == EMPTY:
+        assert expected == []
+    if prefix == DEEPEST:
+        assert expected == [DEEPEST_SQUARE]
 
 
 class TestOrbitLeastOrder4:
     """The unsharded order-4 run: 220 orbit-least squares times 32 maps."""
 
-    def test_full_run_equals_concatenated_unrolled_shards(self, catalog4):
-        shards = [sq.cells for s in single_cell_shards(4) for sq in iter_squares(4, s)]
+    def test_full_run_equals_concatenated_generic_shards(self, catalog4):
+        # Shards are slices of the full run, so the reference is the
+        # full-mode generic search of each single-cell subtree.
+        shards = [
+            cells for s in single_cell_shards(4) for cells in _iter_generic(4, s.prefix)
+        ]
         assert [sq.cells for sq in catalog4] == shards
 
     def test_least_squares_are_the_catalog_squares_passing_the_predicate(self, catalog4):
@@ -84,12 +104,13 @@ class TestOrbitLeastOrder4:
 
     def test_repeated_image_raises(self, monkeypatch):
         # A map listed twice would emit its images twice.  The floors are
-        # cached from the true group first, so only the expansion sees it.
+        # cached from the true group first, so only the expansion sees it,
+        # and the unmemoized builder runs, not a catalog cached earlier.
         maps = _line_group(4)
         _orbit_floors(4)
         monkeypatch.setattr(enumerator, "_line_group", lambda n: maps[:1] + maps[:-1])
         with pytest.raises(RuntimeError, match="repeat a square"):
-            _order4_by_orbits()
+            _order4_by_orbits.__wrapped__()
 
 
 class TestShards:
