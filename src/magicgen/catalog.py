@@ -3,16 +3,17 @@
 Everything is line-oriented text with a `# format=1` version header so the
 files diff and stream cleanly.  A catalog holds one canonical square
 encoding per line; classification and generator metadata live in sidecar
-files keyed by catalog line number.  All writes go through write_atomic,
+files keyed by catalog line number.  All writes go through atomic_file,
 so partially written files never exist.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .squares import Square, encode_square, is_normal_magic, parse_square
 
@@ -20,13 +21,15 @@ FORMAT_LINE = "# format=1"
 ORDER_PREFIX = "# order="
 
 
-def write_atomic(path: str | os.PathLike, text: str) -> None:
-    """Replace `path` with `text`; readers see the old file or the new one.
+@contextmanager
+def atomic_file(path: str | os.PathLike) -> Iterator[TextIO]:
+    """A text handle whose content replaces `path` when the block succeeds.
 
-    The text goes to a temp file with a unique name in the same directory,
-    so concurrent writers never share one, and is fsynced before the
-    rename.  The temp file is removed if anything fails.  The new file
-    gets the mode a plain open() gives, not mkstemp's 0600.
+    Readers see the old file or the new one.  The handle writes a temp file
+    with a unique name in the same directory, so concurrent writers never
+    share one, and is fsynced before the rename.  The temp file is removed
+    if anything fails, including the block itself.  The new file gets the
+    mode a plain open() gives, not mkstemp's 0600.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -34,13 +37,19 @@ def write_atomic(path: str | os.PathLike, text: str) -> None:
     fh = open(tmp, "x")
     try:
         with fh:
-            fh.write(text)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_atomic(path: str | os.PathLike, text: str) -> None:
+    """Replace `path` with `text` through atomic_file."""
+    with atomic_file(path) as fh:
+        fh.write(text)
 
 
 def _lines(path: Path) -> Iterator[str]:

@@ -298,6 +298,4 @@ class FastClassifier:
         if label is None:
             self.fallbacks += 1
             return self._census.label_of(square)
-        if label.dudeney != "VI":
-            return label
         return with_vi_split(label, count_magic_broken_diagonals(square))

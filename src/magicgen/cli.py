@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Sequence
 
 from .catalog import (
     FORMAT_LINE,
-    catalog_text,
+    ORDER_PREFIX,
+    atomic_file,
     classification_text,
     group_text,
     read_catalog,
@@ -73,16 +75,11 @@ def _cmd_enumerate(args) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.out:
-        squares = list(iter_squares(n, shard))
-        write_atomic(args.out, catalog_text(squares, n))
-        count = len(squares)
-    else:
-        print(FORMAT_LINE)
-        print(f"# order={n}")
+    with atomic_file(args.out) if args.out else nullcontext(sys.stdout) as fh:
+        fh.write(f"{FORMAT_LINE}\n{ORDER_PREFIX}{n}\n")
         count = 0
         for sq in iter_squares(n, shard):
-            print(encode_square(sq))
+            fh.write(encode_square(sq) + "\n")
             count += 1
     print(f"# count={count}", file=sys.stderr)
     return 0

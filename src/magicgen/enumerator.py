@@ -15,6 +15,11 @@ emission order deterministic: two runs produce identical streams, and
 shard outputs concatenated in prefix order reproduce the full run
 byte for byte.
 
+The search is one recursive scan per trial level.  Each row, column and
+trace keeps a (cells-left, partial-sum) counter pair, and a candidate is
+tried on copies of them: a failed candidate drops its copies, an accepted
+one passes them to the next level, so nothing is ever undone.
+
 A Shard fixes the values of the first k trial cells, so shards with
 distinct prefixes explore disjoint subtrees and the union over all
 prefixes covers the whole space; this is the unit of parallel and
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -93,10 +98,14 @@ class _Plan:
     constants: tuple[tuple[int, int], ...]
     # forced[level]: dependents completed by trial `level`, as
     # (cell, denominator, const_numerator, ((earlier_trial_pos, numerator), ...),
-    #  numerator_of_this_level's_trial); the dependent's scaled value is
-    # const + sum(earlier terms) + m * trial_value.
+    #  numerator_of_this_level's_trial, lines_of[cell]); the dependent's
+    # scaled value is const + sum(earlier terms) + m * trial_value.
     forced: tuple[
-        tuple[tuple[int, int, int, tuple[tuple[int, int], ...], int], ...], ...
+        tuple[
+            tuple[int, int, int, tuple[tuple[int, int], ...], int, tuple[int, ...]],
+            ...,
+        ],
+        ...,
     ]
     # lines_of[cell]: ids of the rows/columns/traces through the cell.
     lines_of: tuple[tuple[int, ...], ...]
@@ -111,20 +120,6 @@ def _plan(n: int) -> _Plan:
     system = build_system(n)
     trials = trial_cells(n)
     pos = {cell: i for i, cell in enumerate(trials)}
-    constants: list[tuple[int, int]] = []
-    per_level: list[list] = [[] for _ in trials]
-    for dep in system.dependencies:
-        den, cnum, terms = dep.integer_form()
-        if not terms:
-            if cnum % den:
-                raise ValueError(f"order {n} forces a non-integer cell")  # unreachable
-            constants.append((dep.cell, cnum // den))
-        else:
-            level = max(pos[c] for c, _ in terms)
-            earlier = tuple((pos[c], num) for c, num in terms if pos[c] != level)
-            m = next(num for c, num in terms if pos[c] == level)
-            per_level[level].append((dep.cell, den, cnum, earlier, m))
-
     n2 = n * n
     lines: list[tuple[int, ...]] = []
     for r in range(n):
@@ -137,6 +132,23 @@ def _plan(n: int) -> _Plan:
     for lid, line in enumerate(lines):
         for cell in line:
             lines_of[cell].append(lid)
+
+    constants: list[tuple[int, int]] = []
+    per_level: list[list] = [[] for _ in trials]
+    for dep in system.dependencies:
+        den, cnum, terms = dep.integer_form()
+        if not terms:
+            if cnum % den:
+                raise ValueError(f"order {n} forces a non-integer cell")  # unreachable
+            constants.append((dep.cell, cnum // den))
+        else:
+            level = max(pos[c] for c, _ in terms)
+            earlier = tuple((pos[c], num) for c, num in terms if pos[c] != level)
+            m = next(num for c, num in terms if pos[c] == level)
+            per_level[level].append(
+                (dep.cell, den, cnum, earlier, m, tuple(lines_of[dep.cell]))
+            )
+
     min_fill = tuple(r * (r + 1) // 2 for r in range(n + 1))
     max_fill = tuple(r * (2 * n2 + 1 - r) // 2 for r in range(n + 1))
 
@@ -239,12 +251,16 @@ def _iter_generic(
 ) -> Iterator[tuple[int, ...]]:
     """Propagating backtracker over the free-cell basis.
 
-    Iterative depth-first search, one stack level per trial cell.  Two
-    pruning devices run on top of the exact dependency forcing:
+    A recursive scan, one call of `place` per trial level.  Each row,
+    column and trace keeps a (cells-left, partial-sum) counter pair; a
+    candidate is tried on copies of the counters, so a failed candidate is
+    undone by dropping its copies and an accepted one hands them to the
+    next level.  Two pruning devices run on top of the exact dependency
+    forcing:
 
-    * every row/column/trace keeps a running (cells-left, partial-sum)
-      pair, and the amount still needed must stay between the smallest
-      and largest sums reachable with that many distinct values;
+    * the amount a line still needs must stay between the smallest and
+      largest sums reachable with its number of open cells in distinct
+      values, and a line with one open cell needs a value not yet used;
     * each dependent cell firing at a level is (base + m*v)/den in the
       level's trial value v, so before scanning candidates the v-window
       keeping every dependent inside 1..n^2 is intersected, and for
@@ -267,12 +283,12 @@ def _iter_generic(
     lines_of = plan.lines_of
     min_fill = plan.min_fill
     max_fill = plan.max_fill
-    last = len(trials)
+    last = len(trials) - 1
     plen = len(prefix)
 
     grid = [0] * n2
-    rem = [n] * (2 * n + 2)
-    acc = [0] * (2 * n + 2)
+    rem0 = [n] * (2 * n + 2)
+    acc0 = [0] * (2 * n + 2)
     used0 = 0
     for cell, v in plan.constants:
         if not 1 <= v <= n2 or used0 >> v & 1:
@@ -280,207 +296,111 @@ def _iter_generic(
         grid[cell] = v
         used0 |= 1 << v
         for line in lines_of[cell]:
-            rem[line] -= 1
-            acc[line] += v
+            rem0[line] -= 1
+            acc0[line] += v
 
     floor = [0] * n2
-    floors_from: list[tuple[int, ...]] = [()] * (last + 1)
+    floors_from: list[tuple[int, ...]] = [()] * (last + 2)
     if least:
         floors_from[1], floors_from[2] = _orbit_floors(n)
+    tvals = [0] * (last + 1)
 
-    tvals = [0] * last
-    trial_lines = [lines_of[trials[lv]] for lv in range(last)]
-    dep_lines = [tuple(lines_of[f[0]] for f in forced[lv]) for lv in range(last)]
-    # Per-level scan state: next value, upper bound, step, entry used-mask,
-    # and the level's dependents as a flat [fcell, den, base, m, ...] list.
-    # Placements are undone by recomputation: dependent values are re-derived
-    # from the flat list and the trial value, so no undo log is kept.
-    cand_v = [0] * last
-    cand_hi = [0] * last
-    cand_step = [1] * last
-    used_at = [0] * (last + 1)
-    deps_at: list[list[int]] = [[] for _ in range(last)]
-
-    def _undo(level: int, upto: int, nlines: int) -> None:
-        # Reverse the line bookkeeping of the placement holding `level`:
-        # all trial lines, dependents before `upto` fully, and the first
-        # `nlines` lines of dependent `upto`.
-        v = tvals[level]
-        for line in trial_lines[level]:
-            rem[line] += 1
-            acc[line] -= v
-        deps = deps_at[level]
-        dlines = dep_lines[level]
-        for di in range(0, upto * 4, 4):
-            val = deps[di + 2] + deps[di + 3] * v
-            den = deps[di + 1]
-            if den != 1:
-                val //= den
-            for line in dlines[di >> 2]:
-                rem[line] += 1
-                acc[line] -= val
-        if nlines:
-            val = deps[upto * 4 + 2] + deps[upto * 4 + 3] * v
-            den = deps[upto * 4 + 1]
-            if den != 1:
-                val //= den
-            dl = dlines[upto]
-            for li in range(nlines):
-                line = dl[li]
-                rem[line] += 1
-                acc[line] -= val
-
-    used_at[0] = used0
-    level = 0
-    entering = True
-    while True:
-        if entering:
-            # Compute the candidate window for `level`.
-            for cell in floors_from[level]:
-                floor[cell] = tvals[level - 1]
-            lo, hi = floor[trials[level]] + 1, n2
-            for line in trial_lines[level]:
-                r = rem[line] - 1
-                base = mu - acc[line]
-                b = base - min_fill[r]
-                if b < hi:
-                    hi = b
-                b = base - max_fill[r]
-                if b > lo:
-                    lo = b
-            deps = deps_at[level]
-            del deps[:]
-            parity = -1
-            for fcell, den, base, terms, m in forced[level]:
-                for tpos, num in terms:
-                    base += num * tvals[tpos]
-                # The dependent's scaled value must reach den * (floor + 1).
-                low = den * (floor[fcell] + 1)
-                if m > 0:
-                    vlo = -((base - low) // m)
-                    vhi = (n2 * den - base) // m
-                else:
-                    vlo = -((base - n2 * den) // m)
-                    vhi = (low - base) // m
-                if vlo > lo:
-                    lo = vlo
-                if vhi < hi:
-                    hi = vhi
-                if den == 2:
-                    if m & 1:
-                        p = base & 1
-                        if parity < 0:
-                            parity = p
-                        elif parity != p:
-                            lo = hi + 1
-                            break
-                    elif base & 1:
-                        lo = hi + 1
-                        break
-                deps.append(fcell)
-                deps.append(den)
-                deps.append(base)
-                deps.append(m)
-            step = 1
-            if level < plen:
-                pv = prefix[level]
-                if lo <= pv <= hi and (parity < 0 or pv & 1 == parity):
-                    lo = hi = pv
-                else:
-                    lo, hi = 1, 0
-            elif parity >= 0:
-                if lo & 1 != parity:
-                    lo += 1
-                step = 2
-            cand_v[level] = lo
-            cand_hi[level] = hi
-            cand_step[level] = step
-            entering = False
-            continue
-
-        # Advance the scan at `level`.
-        v = cand_v[level]
-        hi = cand_hi[level]
-        step = cand_step[level]
-        used = used_at[level]
-        deps = deps_at[level]
-        tlines = trial_lines[level]
-        dlines = dep_lines[level]
-        ndeps = len(deps)
-        placed = False
-        while v <= hi:
-            if not used >> v & 1:
-                tvals[level] = v
-                u = used | 1 << v
-                for line in tlines:
-                    rem[line] -= 1
-                    acc[line] += v
-                ok = True
-                di = 0
-                while di < ndeps:
-                    den = deps[di + 1]
-                    val = deps[di + 2] + deps[di + 3] * v
-                    if den != 1:
-                        if val % den:
-                            _undo(level, di >> 2, 0)
-                            ok = False
-                            break
-                        val //= den
-                    if val < 1 or val > n2 or u >> val & 1:
-                        _undo(level, di >> 2, 0)
-                        ok = False
-                        break
-                    u |= 1 << val
-                    nli = 0
-                    bad = False
-                    for line in dlines[di >> 2]:
-                        r = rem[line] - 1
-                        s = acc[line] + val
-                        rem[line] = r
-                        acc[line] = s
-                        nli += 1
-                        need = mu - s
-                        # For a line with one open cell the exact needed
-                        # value must still be unused.
-                        if need < min_fill[r] or need > max_fill[r] or (
-                            r == 1 and u >> need & 1
-                        ):
-                            _undo(level, di >> 2, nli)
-                            bad = True
-                            break
-                    if bad:
-                        ok = False
-                        break
-                    di += 4
-                if ok:
-                    placed = True
-                    break
-            v += step
-        if not placed:
-            # Level exhausted: pop, undoing the placement that entered it.
-            level -= 1
-            if level < 0:
+    def place(level: int, used: int, rem: list[int], acc: list[int]):
+        for cell in floors_from[level]:
+            floor[cell] = tvals[level - 1]
+        tcell = trials[level]
+        tlines = lines_of[tcell]
+        lo, hi = floor[tcell] + 1, n2
+        for line in tlines:
+            r = rem[line] - 1
+            base = mu - acc[line]
+            b = base - min_fill[r]
+            if b < hi:
+                hi = b
+            b = base - max_fill[r]
+            if b > lo:
+                lo = b
+        deps = []
+        parity = -1
+        for fcell, den, base, terms, m, flines in forced[level]:
+            for tpos, num in terms:
+                base += num * tvals[tpos]
+            # The dependent's scaled value must reach den * (floor + 1).
+            low = den * (floor[fcell] + 1)
+            if m > 0:
+                vlo = -((base - low) // m)
+                vhi = (n2 * den - base) // m
+            else:
+                vlo = -((base - n2 * den) // m)
+                vhi = (low - base) // m
+            if vlo > lo:
+                lo = vlo
+            if vhi < hi:
+                hi = vhi
+            if den == 2:
+                if m & 1:
+                    p = base & 1
+                    if parity < 0:
+                        parity = p
+                    elif parity != p:
+                        return
+                elif base & 1:
+                    return
+            deps.append((fcell, den, base, m, flines))
+        step = 1
+        if level < plen:
+            pv = prefix[level]
+            if not (lo <= pv <= hi and (parity < 0 or pv & 1 == parity)):
                 return
-            _undo(level, len(deps_at[level]) >> 2, 0)
-            continue
-        cand_v[level] = v + step
-        if level == last - 1:
-            for lv in range(last):
-                grid[trials[lv]] = tvals[lv]
-            for lv in range(last):
-                dlv = deps_at[lv]
-                tv = tvals[lv]
-                for di in range(0, len(dlv), 4):
-                    val = dlv[di + 2] + dlv[di + 3] * tv
-                    if dlv[di + 1] != 1:
-                        val //= dlv[di + 1]
-                    grid[dlv[di]] = val
-            yield tuple(grid)
-            _undo(level, len(deps) >> 2, 0)
-            continue
-        used_at[level + 1] = u
-        level += 1
-        entering = True
+            lo = hi = pv
+        elif parity >= 0:
+            if lo & 1 != parity:
+                lo += 1
+            step = 2
+
+        for v in range(lo, hi + 1, step):
+            if used >> v & 1:
+                continue
+            u = used | 1 << v
+            r = rem.copy()
+            a = acc.copy()
+            for line in tlines:
+                r[line] -= 1
+                a[line] += v
+            for fcell, den, base, m, flines in deps:
+                val = base + m * v
+                if den != 1:
+                    if val % den:
+                        break
+                    val //= den
+                if val < 1 or val > n2 or u >> val & 1:
+                    break
+                u |= 1 << val
+                for line in flines:
+                    k = r[line] - 1
+                    s = a[line] + val
+                    r[line] = k
+                    a[line] = s
+                    need = mu - s
+                    # For a line with one open cell the exact needed value
+                    # must still be unused.
+                    if need < min_fill[k] or need > max_fill[k] or (
+                        k == 1 and u >> need & 1
+                    ):
+                        break
+                else:
+                    grid[fcell] = val
+                    continue
+                break  # a line bound failed
+            else:  # the trial and all its dependents are placed
+                grid[tcell] = v
+                tvals[level] = v
+                if level == last:
+                    yield tuple(grid)
+                else:
+                    yield from place(level + 1, u, r, a)
+
+    yield from place(0, used0, rem0, acc0)
 
 
 @lru_cache(maxsize=None)
@@ -547,15 +467,7 @@ def shard_for(n: int, cells: Sequence[int], values: Sequence[int]) -> Shard:
 
 def _shard_worker(args: tuple[int, tuple[int, ...], int | None]) -> list[tuple[int, ...]]:
     n, prefix, limit = args
-    gen = _raw_iter(n, Shard(prefix))
-    if limit is not None:
-        out = []
-        for cells in gen:
-            out.append(cells)
-            if len(out) >= limit:
-                break
-        return out
-    return list(gen)
+    return list(islice(_raw_iter(n, Shard(prefix)), limit))
 
 
 def enumerate_shards_parallel(
@@ -572,11 +484,14 @@ def enumerate_shards_parallel(
     a slice of the worker's catalog (inherited when the parent built it
     before forking).  Results are buffered per shard and concatenated in
     the order the shards were given, so the stream is byte-identical to
-    running the same shards serially.
+    running the same shards serially.  With `limit_per_shard`, each shard
+    yields at most that many squares; a negative limit is an error.
     """
     from concurrent.futures import ProcessPoolExecutor
 
     checked_plan(n, shards)
+    if limit_per_shard is not None and limit_per_shard < 0:
+        raise ValueError(f"limit_per_shard must be >= 0, not {limit_per_shard}")
     args = [(n, tuple(s.prefix), limit_per_shard) for s in shards]
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         for cells_list in pool.map(_shard_worker, args):

@@ -64,6 +64,34 @@ def test_enumerate_shard_to_file(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == A16_CATALOG_SHA256
 
 
+@pytest.mark.parametrize(
+    "shard_args",
+    [["--order", "3"], ["--order", "4", "--shard-cell", "a", "--shard-value", "16"]],
+    ids=["order3", "order4-a16"],
+)
+def test_enumerate_stdout_equals_out_file(shard_args, tmp_path, capsys):
+    assert main(["enumerate", *shard_args]) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "catalog.txt"
+    assert main(["enumerate", *shard_args, "--out", str(out)]) == 0
+    assert out.read_bytes() == stdout.encode()
+
+
+def test_enumerate_out_failing_midstream_keeps_old_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "catalog.txt"
+    out.write_text("old\n")
+
+    def failing(n, shard):
+        yield from islice(iter_squares(n, shard), 3)
+        raise RuntimeError("search failed")
+
+    monkeypatch.setattr("magicgen.cli.iter_squares", failing)
+    with pytest.raises(RuntimeError, match="search failed"):
+        main(["enumerate", "--order", "4", "--out", str(out)])
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["catalog.txt"]
+
+
 def test_enumerate_rejects_bad_shard_cell(capsys):
     code = main(
         ["enumerate", "--order", "4", "--shard-cell", "b", "--shard-value", "1"]

@@ -167,6 +167,16 @@ class TestShards:
         with pytest.raises(ValueError, match=match):
             next(enumerate_shards_parallel(4, shards, max_workers=2))
 
+    def test_parallel_limit_per_shard(self):
+        shards = [Shard((v,)) for v in (2, 3)]
+        zero = enumerate_shards_parallel(4, shards, max_workers=2, limit_per_shard=0)
+        assert list(zero) == []
+        two = enumerate_shards_parallel(4, shards, max_workers=2, limit_per_shard=2)
+        serial = [sq.cells for s in shards for sq in islice(iter_squares(4, s), 2)]
+        assert [sq.cells for sq in two] == serial
+        with pytest.raises(ValueError, match="limit_per_shard"):
+            next(enumerate_shards_parallel(4, shards, max_workers=2, limit_per_shard=-1))
+
 
 class TestOrderFive:
     def test_leading_shard_squares_are_magic_and_round_trip(self):

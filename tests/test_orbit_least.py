@@ -94,3 +94,23 @@ def test_order5_deep_prefixes_keep_the_least_squares(shard13_head):
         nonempty += bool(reduced)
     assert len(set(prefixes)) >= 20
     assert nonempty >= 8
+
+
+def test_order5_shallow_prefix_keeps_the_least_squares():
+    # At depth 1 most levels are trial scans, so the floors set on entering
+    # levels 1 and 2 must bind inside the scans, not only on pinned values.
+    # With a00 = 4 the full stream holds 8 squares that are not least
+    # before its 20th least one (with a00 = 3 it holds none).
+    reduced = list(islice(_iter_generic(5, (4,), least=True), 20))
+    full = []
+    dropped = 0
+    for cells in _iter_generic(5, (4,)):
+        if len(full) == 20:
+            break
+        if is_least(cells, 5):
+            full.append(cells)
+        else:
+            dropped += 1
+    assert len(reduced) == 20
+    assert reduced == full
+    assert dropped >= 1
