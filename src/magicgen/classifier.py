@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .constraints import build_system, dependent_cells_order4
 from .squares import (
     Square,
     broken_diagonal_sums,
-    complement_pairs,
     encode_square,
     grid_symmetries,
     is_normal_magic,
@@ -65,47 +65,23 @@ class ClassLabel:
     vi_split: str | None = None
 
 
-def _symmetry_position_maps(n: int) -> tuple[tuple[int, ...], ...]:
-    # img[i] = where cell i lands under the symmetry.
-    maps = []
-    for t in grid_symmetries(n):
-        cm = t.cell_map()
-        img = [0] * (n * n)
-        for target, source in enumerate(cm):
-            img[source] = target
-        maps.append(tuple(img))
-    return tuple(maps)
-
-
-_SYM_MAPS4 = _symmetry_position_maps(4)
-
-
-def _index_pairs(square: Square) -> tuple[tuple[int, int], ...]:
-    n = square.order
-    pairs = []
-    for pair in complement_pairs(square):
-        (r1, c1), (r2, c2) = sorted(pair)
-        pairs.append((r1 * n + c1, r2 * n + c2))
-    return tuple(pairs)
+# Per grid symmetry, the sorted image of every cell pair (a, b), indexed
+# a * 16 + b; a signature is the least sorted image of the 8 pairs
+# (v, 17 - v).  The 8 symmetries are closed under inverses, so reading
+# their cell maps as "cell i moves to map[i]" gives the same 8 images.
+_PAIR_IMAGES4 = tuple(
+    [tuple(sorted((m[a], m[b]))) for a in range(16) for b in range(16)]
+    for m in (t.cell_map() for t in grid_symmetries(4))
+)
 
 
 def signature(square: Square) -> PairingSignature:
     """Canonical complement-pair geometry, invariant under the 8 grid symmetries."""
     if square.order != 4:
         raise ValueError(f"signatures are defined for order 4, got {square.order}")
-    pairs = _index_pairs(square)
-    best: PairingSignature | None = None
-    for img in _SYM_MAPS4:
-        moved = []
-        for a, b in pairs:
-            ia, ib = img[a], img[b]
-            moved.append((ia, ib) if ia < ib else (ib, ia))
-        moved.sort()
-        cand = tuple(moved)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+    at = square.cells.index
+    pairs = itemgetter(*[at(v) * 16 + at(17 - v) for v in range(1, 9)])
+    return min(tuple(sorted(pairs(images))) for images in _PAIR_IMAGES4)
 
 
 def count_magic_broken_diagonals(square: Square) -> int:

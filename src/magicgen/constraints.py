@@ -117,24 +117,13 @@ def build_system(n: int) -> ConstraintSystem:
     n2 = n * n
     mu = magic_constant(n)
 
-    equations: list[tuple[tuple[int, ...], int]] = []
-    for r in range(n):
-        coeffs = [0] * n2
-        for c in range(n):
-            coeffs[r * n + c] = 1
-        equations.append((tuple(coeffs), mu))
-    for c in range(n):
-        coeffs = [0] * n2
-        for r in range(n):
-            coeffs[r * n + c] = 1
-        equations.append((tuple(coeffs), mu))
-    major = [0] * n2
-    minor = [0] * n2
-    for i in range(n):
-        major[i * n + i] = 1
-        minor[i * n + (n - 1 - i)] = 1
-    equations.append((tuple(major), mu))
-    equations.append((tuple(minor), mu))
+    # The magic lines: rows, columns, main diagonal, anti-diagonal.
+    lines = (
+        [[r * n + c for c in range(n)] for r in range(n)]
+        + [[r * n + c for r in range(n)] for c in range(n)]
+        + [[i * n + i for i in range(n)], [i * n + n - 1 - i for i in range(n)]]
+    )
+    equations = [(tuple(int(i in line) for i in range(n2)), mu) for line in lines]
 
     # Reduced row echelon form, pivoting on the highest-index cell available.
     rows = [[Fraction(v) for v in coeffs] + [Fraction(rhs)] for coeffs, rhs in equations]

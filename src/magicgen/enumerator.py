@@ -107,8 +107,9 @@ class _Plan:
         ],
         ...,
     ]
-    # lines_of[cell]: ids of the rows/columns/traces through the cell.
+    # lines_of[cell]: ids (build_system equation numbers) of its lines.
     lines_of: tuple[tuple[int, ...], ...]
+    line_sizes: tuple[int, ...]
     # Distinct-value completion bounds: min_fill[r]/max_fill[r] bracket the
     # sum of r distinct values from 1..n^2.
     min_fill: tuple[int, ...]
@@ -121,13 +122,8 @@ def _plan(n: int) -> _Plan:
     trials = trial_cells(n)
     pos = {cell: i for i, cell in enumerate(trials)}
     n2 = n * n
-    lines: list[tuple[int, ...]] = []
-    for r in range(n):
-        lines.append(tuple(r * n + c for c in range(n)))
-    for c in range(n):
-        lines.append(tuple(r * n + c for r in range(n)))
-    lines.append(tuple(i * n + i for i in range(n)))
-    lines.append(tuple(i * n + (n - 1 - i) for i in range(n)))
+    # Each equation is one line: its support is the line's cells.
+    lines = [[c for c, a in enumerate(coeffs) if a] for coeffs, _ in system.equations]
     lines_of = [[] for _ in range(n2)]
     for lid, line in enumerate(lines):
         for cell in line:
@@ -158,6 +154,7 @@ def _plan(n: int) -> _Plan:
         tuple(constants),
         tuple(tuple(lv) for lv in per_level),
         tuple(tuple(ls) for ls in lines_of),
+        tuple(len(line) for line in lines),
         min_fill,
         max_fill,
     )
@@ -287,8 +284,8 @@ def _iter_generic(
     plen = len(prefix)
 
     grid = [0] * n2
-    rem0 = [n] * (2 * n + 2)
-    acc0 = [0] * (2 * n + 2)
+    rem0 = list(plan.line_sizes)
+    acc0 = [0] * len(rem0)
     used0 = 0
     for cell, v in plan.constants:
         if not 1 <= v <= n2 or used0 >> v & 1:

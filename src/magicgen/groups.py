@@ -4,9 +4,10 @@ A transformation is a (row permutation, column permutation, optional
 transpose) triple.  canonical_key names a square's class under all
 (n!)^2 * 2 triples in closed form, without listing them.  The symmetry
 group of a square set G holds the triples mapping every member of G into
-G; it is found among the triples taking one member onto the members with
-its key, and verified to contain the identity and to be closed under
-composition and inverses before it is returned.
+G.  Its candidates come from value positions: for one member g0 and each
+member h, the cell map that puts every value of g0 where h holds it, kept
+when it is a triple's.  The group is verified to contain the identity and
+to be closed under composition and inverses before it is returned.
 
 Orbits of that action partition G, and each orbit's designated
 representative (its generator) is the member with the smallest canonical
@@ -20,6 +21,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .squares import Square, Transformation, encode_square, identity_transformation
+from .squares import _invert_perm
 
 
 class GroupClosureError(RuntimeError):
@@ -103,60 +105,54 @@ def symmetry_group(squares: Iterable[Square]) -> TransformationGroup:
 
 
 def _candidates(index: frozenset[tuple[int, ...]], n: int) -> list[Transformation]:
-    """For one member g0, the triple onto each member with g0's canonical key.
+    """For one member g0, the triple onto each member that has one.
 
-    Every triple of the group is among them: it maps g0 onto a member with
-    g0's key, and no other triple does, because values are distinct and so
-    only the identity fixes a square.
+    Values are distinct, so one cell map takes g0 onto each member: a cell
+    reads the cell of g0 holding its value.  Row 0 and column 0 of the map
+    name a triple's source rows and columns (once each source cell's row and
+    column are swapped, for a transposed triple), and the rest must agree.
+    Every group triple maps g0 onto a member, so all are candidates.
     """
-    key0, *triple0 = _canonical_triple(min(index), n)
-    to_g0 = _from_key(*triple0).inverse()
-    keyed = [_canonical_triple(cells, n) for cells in index]
-    return [_from_key(*triple).after(to_g0) for key, *triple in keyed if key == key0]
-
-
-def _from_key(transposed: bool, row_order, col_order) -> Transformation:
-    """The triple taking a square's canonical key back to the square."""
-    # The transposed grid's rows are the square's columns.
-    if transposed:
-        return Transformation(tuple(col_order), tuple(row_order), True)
-    return Transformation(tuple(row_order), tuple(col_order), False)
+    cell_of = {v: cell for cell, v in enumerate(min(index))}
+    swap = [(k % n) * n + k // n for k in range(n * n)]
+    found = []
+    for cells in index:
+        cmap = itemgetter(*cells)(cell_of)
+        for transposed in (False, True):
+            if transposed:
+                cmap = itemgetter(*cmap)(swap)
+            rows = [cmap[r * n] // n for r in range(n)]
+            cols = [cmap[c] % n for c in range(n)]
+            if cmap == tuple(r * n + c for r in rows for c in cols):
+                # cell_map reads through the inverse perms.
+                found.append(
+                    Transformation(_invert_perm(rows), _invert_perm(cols), transposed)
+                )
+    return found
 
 
 def canonical_key(square: Square) -> str:
     """Smallest encode_square text among the square's triple images.
 
     Two squares are symmetric (some row perm x column perm x transpose
-    triple maps one onto the other) iff their keys are equal.
-    """
-    return _canonical_triple(square.cells, square.order)[0]
-
-
-def _canonical_triple(
-    cells: tuple[int, ...], n: int
-) -> tuple[str, bool, list[int], list[int]]:
-    """canonical_key's text and the triple that attains it.
-
-    Returns (key, transposed, row_order, col_order): key cell (i, j) is
-    cell (row_order[i], col_order[j]) of the grid, transposed or not.  The
-    values are distinct, so the minimum is fixed step by step: the smallest
-    token "1" goes to (0, 0); its row, being the first n tokens, is ordered
+    triple maps one onto the other) iff their keys are equal.  The values
+    are distinct, so the minimum is fixed step by step: the smallest token
+    "1" goes to (0, 0); its row, being the first n tokens, is ordered
     ascending, which fixes the column order; the rows below are then
     ordered by their first token.  Tokens compare as strings, as they do
     inside encodings ("10" < "2"), because a space sorts before every
     digit.  Both transpose choices are tried and the smaller text is kept.
     """
-    tokens = [str(v) for v in cells]
+    n = square.order
+    tokens = [str(v) for v in square.cells]
     rows = [tokens[r * n : (r + 1) * n] for r in range(n)]
-    r1, c1 = divmod(cells.index(1), n)
-    columns = list(zip(*rows))
-    found = []
-    for transposed, grid, r, c in ((False, rows, r1, c1), (True, columns, c1, r1)):
+    r1, c1 = divmod(square.cells.index(1), n)
+    keys = []
+    for grid, r, c in ((rows, r1, c1), (list(zip(*rows)), c1, r1)):
         col_order = sorted(range(n), key=lambda j: grid[r][j])
         row_order = sorted(range(n), key=lambda i: grid[i][c])
-        key = " ".join(grid[i][j] for i in row_order for j in col_order)
-        found.append((key, transposed, row_order, col_order))
-    return min(found)
+        keys.append(" ".join(grid[i][j] for i in row_order for j in col_order))
+    return min(keys)
 
 
 @dataclass(frozen=True)

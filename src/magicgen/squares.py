@@ -153,23 +153,6 @@ def broken_diagonal_sums(square: Square) -> tuple[int, ...]:
     return tuple(sums)
 
 
-def complement_pairs(square: Square) -> frozenset[frozenset[tuple[int, int]]]:
-    """Positions of the n^2/2 value pairs {v, n^2+1-v}.
-
-    Each pair is the unordered pair of (row, col) positions holding v and
-    its complement.  Only even orders pair every value; odd orders are
-    rejected (the middle value n^2+1-v = v would self-pair).
-    """
-    n = square.order
-    if n % 2:
-        raise ValueError(f"complement pairing needs an even order, got {n}")
-    n2 = n * n
-    where = {v: divmod(idx, n) for idx, v in enumerate(square.cells)}
-    return frozenset(
-        frozenset((where[v], where[n2 + 1 - v])) for v in range(1, n2 // 2 + 1)
-    )
-
-
 def determinant(square: Square) -> int:
     """Exact integer determinant via fraction-free (Bareiss) elimination."""
     n = square.order

@@ -122,7 +122,7 @@ class TestSymmetryGroup:
         for sq in all3:
             assert set(symmetry_group([sq]).members) == _universe_filter([sq])
 
-    @pytest.mark.parametrize("letter", ["C", "D"])
+    @pytest.mark.parametrize("letter", ["A", "B", "C", "D"])
     def test_trigg_class_equals_universe_filter(self, census4, letter):
         members = census4.trigg_members(letter)
         assert set(symmetry_group(members).members) == _universe_filter(members)

@@ -8,7 +8,6 @@ from magicgen.squares import (
     Square,
     Transformation,
     broken_diagonal_sums,
-    complement_pairs,
     determinant,
     encode_square,
     grid_symmetries,
@@ -122,23 +121,6 @@ class TestBrokenDiagonals:
                 major = sum(sq.at(i, i) for i in range(n))
                 minor = sum(sq.at(i, n - 1 - i) for i in range(n))
                 assert sum(broken) + major + minor == 2 * sum(sq.cells)
-
-
-class TestComplementPairs:
-    def test_durer_known_pairs(self, durer):
-        pairs = complement_pairs(durer)
-        assert frozenset({(0, 0), (3, 3)}) in pairs  # 16 and 1
-        assert frozenset({(0, 1), (3, 2)}) in pairs  # 3 and 14
-
-    def test_perfect_matching(self, durer):
-        pairs = complement_pairs(durer)
-        assert len(pairs) == 8
-        covered = {pos for pair in pairs for pos in pair}
-        assert len(covered) == 16
-
-    def test_odd_order_rejected(self, lo_shu):
-        with pytest.raises(ValueError, match="even order"):
-            complement_pairs(lo_shu)
 
 
 class TestDeterminant:
