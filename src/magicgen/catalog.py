@@ -89,7 +89,10 @@ def _catalog_lines(path: Path, order: int | None) -> Iterator[tuple[str, int | N
     """
     for line in _lines(path):
         if line.startswith(ORDER_PREFIX):
-            declared = int(line[len(ORDER_PREFIX):])
+            try:
+                declared = int(line[len(ORDER_PREFIX):])
+            except ValueError:
+                raise ValueError(f"{path}: bad order line {line!r}") from None
             if order is not None and declared != order:
                 raise ValueError(f"{path}: catalog of order {declared}, not order {order}")
             order = declared

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .classifier import DudeneyCensus
@@ -39,7 +40,7 @@ from .groups import (
     orbit,
     symmetry_group,
 )
-from .squares import Square, Transformation, encode_square
+from .squares import Square, Transformation, encode_square, grid_symmetries
 
 # Published census targets: orbit-size histogram under symmetric closure
 # per class letter (the four order-4 Trigg classes, and "order3", the
@@ -118,10 +119,22 @@ def symmetric_closure_partition(
     smallest-encoding member, and parts come in ascending generator
     encoding.  Whether a magic image escapes the subject is not checked
     here: census() checks that across the Trigg classes.
+
+    Keys are computed once per dihedral orbit: a square's key is every
+    triple image's key, so it is given to all grid_symmetries images.
     """
     parts: dict[str, list[Square]] = {}
+    key_of: dict[tuple[int, ...], str] = {}
+    images: dict[int, list[itemgetter]] = {}
     for sq in subject:
-        parts.setdefault(canonical_key(sq), []).append(sq)
+        key = key_of.get(sq.cells)
+        if key is None:
+            key = canonical_key(sq)
+            n = sq.order
+            if n not in images:
+                images[n] = [itemgetter(*t.cell_map()) for t in grid_symmetries(n)]
+            key_of.update((image(sq.cells), key) for image in images[n])
+        parts.setdefault(key, []).append(sq)
     if not parts:
         raise ValueError("subject is empty")
     orbits = [

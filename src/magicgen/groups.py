@@ -9,6 +9,15 @@ member h, the cell map that puts every value of g0 where h holds it, kept
 when it is a triple's.  The group is verified to contain the identity and
 to be closed under composition and inverses before it is returned.
 
+Candidates are filtered by members only until the survivors S pass those
+checks, then by any member whose S-orbit leaves the set.  This is exact:
+filtering drops only triples mapping a member outside the set, so every
+true symmetry survives; and once S is a group whose orbits stay in the
+set, each member is h = s(h0), h0 the first square of its orbit, so
+t(h) = (t after s)(h0) is in that orbit for every t in S.  The cost is
+|T| * k + |S|^2 + |S| * (orbit count) image lookups, for T candidates and
+k filtering members (2 for Trigg A, 1 for D, 0 for B, C), not |G| * |S|.
+
 Orbits of that action partition G, and each orbit's designated
 representative (its generator) is the member with the smallest canonical
 text encoding.
@@ -17,6 +26,7 @@ text encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable
 
@@ -38,6 +48,11 @@ class TransformationGroup:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def _images(self) -> list[itemgetter]:
+        """One image getter per member, built once per group for orbit()."""
+        return [itemgetter(*t.cell_map()) for t in self.members]
 
     def pair_view(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Permutation pairs whose transposed and untransposed triples both belong.
@@ -72,36 +87,55 @@ def _subject_index(squares: Iterable[Square]) -> tuple[int, frozenset[tuple[int,
 def symmetry_group(squares: Iterable[Square]) -> TransformationGroup:
     """Triples mapping every square of the set into the set.
 
-    Filters the candidates of _candidates square by square (survivors only
-    are retested), then checks identity, closure, and inverses, raising
-    GroupClosureError on any violation rather than repairing it.  The
-    (n!)^2 * 2 triples are never listed, so any order works.
+    Filters the candidates of _candidates square by square only until they
+    pass the group checks, then by any member whose orbit leaves the set,
+    at a cost growing with |G| + |S|^2, not |G| * |S| (module docstring).
+    Raises GroupClosureError with the first failed check if one still fails
+    once every member filtered them.  The (n!)^2 * 2 triples are never
+    listed, so any order works.
     """
     order, index = _subject_index(squares)
     # itemgetter(*cmap)(cells) is tuple(cells[i] for i in cmap), built in C.
-    survivors = [(t, itemgetter(*t.cell_map())) for t in _candidates(index, order)]
-    for cells in index:
-        survivors = [(t, image) for t, image in survivors if image(cells) in index]
-    members = tuple(
-        sorted(
-            (t for t, _ in survivors),
-            key=lambda t: (t.transposed, t.row_perm, t.col_perm),
-        )
-    )
+    survivors = {t: itemgetter(*t.cell_map()) for t in _candidates(index, order)}
+    unfiltered = iter(index)
+    while True:
+        problem = _group_problem(survivors, order)
+        images = survivors.values()
+        cells = next(unfiltered, None) if problem else _escaping_member(index, images)
+        if cells is None:
+            break
+        survivors = {t: im for t, im in survivors.items() if im(cells) in index}
+    if problem is not None:
+        raise GroupClosureError(problem)
+    return TransformationGroup(tuple(survivors), index, order)
 
-    member_set = set(members)
-    if identity_transformation(order) not in member_set:
-        raise GroupClosureError("identity missing from filtered triples")
-    for t in members:
-        if t.inverse() not in member_set:
-            raise GroupClosureError(f"inverse of {t} missing")
+
+def _group_problem(survivors: dict[Transformation, itemgetter], n: int) -> str | None:
+    """The first group check the survivors fail, or None."""
+    if identity_transformation(n) not in survivors:
+        return "identity missing from filtered triples"
+    for t in survivors:
+        if t.inverse() not in survivors:
+            return f"inverse of {t} missing"
     # Composed on cell maps: t1 after t2 reads cell i from m2[m1[i]].
-    maps = {t.cell_map(): t for t in members}
-    for t1, image1 in survivors:
+    maps = {t.cell_map(): t for t in survivors}
+    for t1, image1 in survivors.items():
         for m2, t2 in maps.items():
             if image1(m2) not in maps:
-                raise GroupClosureError(f"composition {t1} after {t2} missing")
-    return TransformationGroup(members, index, order)
+                return f"composition {t1} after {t2} missing"
+    return None
+
+
+def _escaping_member(index: frozenset[tuple[int, ...]], images: Iterable[itemgetter]):
+    """A member with an image outside the set, checking one square per orbit."""
+    left = set(index)
+    while left:
+        cells = left.pop()
+        orb = {image(cells) for image in images}
+        if not orb <= index:
+            return cells
+        left -= orb
+    return None
 
 
 def _candidates(index: frozenset[tuple[int, ...]], n: int) -> list[Transformation]:
@@ -111,7 +145,8 @@ def _candidates(index: frozenset[tuple[int, ...]], n: int) -> list[Transformatio
     reads the cell of g0 holding its value.  Row 0 and column 0 of the map
     name a triple's source rows and columns (once each source cell's row and
     column are swapped, for a transposed triple), and the rest must agree.
-    Every group triple maps g0 onto a member, so all are candidates.
+    Every group triple maps g0 onto a member, so all are candidates.  They
+    come sorted by (transposed, row perm, column perm).
     """
     cell_of = {v: cell for cell, v in enumerate(min(index))}
     swap = [(k % n) * n + k // n for k in range(n * n)]
@@ -128,7 +163,7 @@ def _candidates(index: frozenset[tuple[int, ...]], n: int) -> list[Transformatio
                 found.append(
                     Transformation(_invert_perm(rows), _invert_perm(cols), transposed)
                 )
-    return found
+    return sorted(found, key=lambda t: (t.transposed, t.row_perm, t.col_perm))
 
 
 def canonical_key(square: Square) -> str:
@@ -172,9 +207,7 @@ def orbit(square: Square, group: TransformationGroup) -> Orbit:
     if square.cells not in group.subject:
         raise ValueError("square outside the group's subject set")
     src = square.cells
-    seen: set[tuple[int, ...]] = set()
-    for t in group.members:
-        seen.add(tuple(src[i] for i in t.cell_map()))
+    seen = {image(src) for image in group._images}
     members = frozenset(Square(square.order, cells) for cells in seen)
     generator = min(members, key=encode_square)
     return Orbit(members, generator)

@@ -15,6 +15,7 @@ from magicgen.catalog import (
     verify_catalog,
     write_atomic,
 )
+from magicgen.cli import main
 from magicgen.enumerator import iter_squares
 from magicgen.squares import encode_square
 
@@ -94,6 +95,16 @@ def test_order_contradicting_header_rejected(tmp_path):
     path.write_text(catalog_text(iter_squares(3), 3) + "# order=4\n")
     with pytest.raises(ValueError, match="catalog of order 4, not order 3"):
         read_catalog(path)
+
+
+def test_bad_order_line_names_the_file(tmp_path, capsys):
+    path = tmp_path / "bad_order.txt"
+    path.write_text("# format=1\n# order=x\n4 9 2 3 5 7 8 1 6\n")
+    with pytest.raises(ValueError, match="bad_order.txt: bad order line '# order=x'"):
+        read_catalog(path)
+    assert main(["verify", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: bad order line '# order=x'\n"
 
 
 def test_verify_catalog_at_header_order(tmp_path):

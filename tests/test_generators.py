@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from conftest import universe
 
+from magicgen import generators
 from magicgen.classifier import ClassLabel, DudeneyCensus
 from magicgen.enumerator import iter_squares
 from magicgen.generators import (
@@ -204,3 +205,18 @@ def test_decompose_rejects_foreign_squares(census4):
     group_d = symmetry_group(d)
     with pytest.raises(ValueError, match="missing from the group"):
         decompose(a, group_d, "mismatch")
+
+
+def test_closure_partition_keys_one_square_per_dihedral_orbit(census4, monkeypatch):
+    # Trigg classes are closed under the 8 grid symmetries, and each of
+    # those orbits has 8 squares, so class B needs 3,968 / 8 keys.
+    calls = []
+    key = generators.canonical_key
+    monkeypatch.setattr(
+        generators, "canonical_key", lambda sq: calls.append(sq) or key(sq)
+    )
+    members = census4.trigg_members("B")
+    part = symmetric_closure_partition(members, "trigg_B")
+    assert len(members) == 3968
+    assert len(calls) == 496
+    assert part.size_histogram == REFERENCE_HISTOGRAMS["B"]

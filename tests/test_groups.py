@@ -8,6 +8,7 @@ from conftest import universe
 
 from magicgen import groups
 from magicgen.enumerator import Shard, iter_squares
+from magicgen.generators import symmetric_closure_partition
 from magicgen.groups import (
     GroupClosureError,
     canonical_key,
@@ -117,6 +118,19 @@ class TestSymmetryGroup:
         with pytest.raises(GroupClosureError, match="composition"):
             symmetry_group(all3)
 
+    def test_orbit_escape_filters_a_closed_survivor_set(self, catalog4):
+        # g0 is one of the first two squares, so the transpose survives
+        # filtering by both, and {identity, transpose} is a group; but it
+        # maps the third square out of the set, which only the orbit
+        # check sees.
+        transpose = Transformation((0, 1, 2, 3), (0, 1, 2, 3), True)
+        subject = [catalog4[0], transpose.apply(catalog4[0]), catalog4[-1]]
+        assert min(sq.cells for sq in subject) != catalog4[-1].cells
+        assert transpose.apply(catalog4[-1]) not in subject
+        group = symmetry_group(subject)
+        assert group.members == (identity_transformation(4),)
+        assert set(group.members) == _universe_filter(subject)
+
     def test_order3_equals_universe_filter(self, all3, group3):
         assert set(group3.members) == _universe_filter(all3)
         for sq in all3:
@@ -158,6 +172,48 @@ class TestSymmetryGroup:
         for rp, cp in cls.group.pair_view():
             assert Transformation(rp, cp, False) in members
             assert Transformation(rp, cp, True) in members
+
+
+def _seeded_subject(rng, catalog4, triples) -> list[Square]:
+    """A few catalog squares with whole or partial orbits of one triple
+    (a grid symmetry half the time), plus some stray triple images."""
+    step = rng.choice(grid_symmetries(4) if rng.random() < 0.5 else triples)
+    subject = {}
+    for sq in rng.sample(catalog4, rng.randint(1, 3)):
+        # Every order-4 triple has order dividing 24.
+        for _ in range(rng.choice([1, 2, 3, 24, 24])):
+            subject[sq.cells] = sq
+            sq = step.apply(sq)
+    for sq in list(subject.values()):
+        if rng.random() < 0.1:
+            image = rng.choice(triples).apply(sq)
+            subject[image.cells] = image
+    return list(subject.values())
+
+
+def test_seeded_subjects_match_the_references(catalog4):
+    # Partly closed subjects: the group against the universe filter, and
+    # the closure partition against grouping every square by its own key.
+    rng = random.Random(12)
+    triples = _triples(4)
+    nontrivial = 0
+    for _ in range(50):
+        subject = _seeded_subject(rng, catalog4, triples)
+        group = symmetry_group(subject)
+        assert set(group.members) == _universe_filter(subject)
+        nontrivial += len(group) > 1
+
+        by_key: dict[str, list[Square]] = {}
+        for sq in subject:
+            by_key.setdefault(canonical_key(sq), []).append(sq)
+        expected = sorted(
+            (encode_square(min(members, key=encode_square)), {m.cells for m in members})
+            for members in by_key.values()
+        )
+        parts = symmetric_closure_partition(subject).orbits
+        got = [(encode_square(o.generator), {m.cells for m in o.members}) for o in parts]
+        assert got == expected
+    assert nontrivial >= 10
 
 
 def _brute_force_key(square: Square, maps) -> str:
