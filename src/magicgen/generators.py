@@ -1,6 +1,10 @@
 """Orbit decomposition of square classes and the generator census.
 
-Two decompositions are computed and reported side by side:
+Each orbit's generator is its member with the smallest encode_square
+text, and a partition lists its orbits in generator order.  Both
+decompositions below are one grouping pass that files the subject's
+squares under a label in ascending encoding order, so each orbit's first
+square is its generator.  They differ only in the label:
 
 * decompose(): orbits of the class's own symmetry group (the triples
   preserving the class as a set).  Self-contained and self-certifying,
@@ -8,12 +12,12 @@ Two decompositions are computed and reported side by side:
 
 * symmetric_closure_partition(): equivalence classes of "some candidate
   (row perm, col perm, transpose) triple maps one square to the other",
-  found by grouping the class on groups.canonical_key, the closed-form
-  smallest image.  It reproduces the published generator counts exactly
-  (95 for order 4, with Trigg class histograms A: 3x384, B: 12x192 +
-  4x96 + 10x64 + 20x32, C: 12x64 + 32x32, D: 2x64), so the census
-  headlines it.  census() checks that no such class spans two Trigg
-  classes: the generators' keys must be distinct across all four.
+  labelled by groups.canonical_key, the closed-form smallest image.  It
+  reproduces the published generator counts exactly (95 for order 4,
+  with Trigg class histograms A: 3x384, B: 12x192 + 4x96 + 10x64 +
+  20x32, C: 12x64 + 32x32, D: 2x64), so the census headlines it.
+  census() checks that no such class spans two Trigg classes: the
+  generators' keys must be distinct across all four.
 
 Both are OrbitPartitions that pass verify_partition, which checks every
 generator pair for symmetry: the closure view's generators are pairwise
@@ -30,16 +34,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .classifier import DudeneyCensus
-from .groups import (
-    Orbit,
-    TransformationGroup,
-    canonical_key,
-    orbit,
-    symmetry_group,
-)
+from .groups import Orbit, TransformationGroup, canonical_key, symmetry_group
 from .squares import Square, Transformation, encode_square, grid_symmetries
 
 # Published census targets: orbit-size histogram under symmetric closure
@@ -75,38 +73,62 @@ class OrbitPartition:
         return tuple(sorted((o.generator for o in self.orbits), key=encode_square))
 
 
+def _grouped(
+    subject: Iterable[Square],
+    label: Callable[[Square], Hashable],
+    method: str,
+    subject_name: str,
+) -> OrbitPartition:
+    """The subject's squares grouped by label, one orbit per label.
+
+    Squares are taken in ascending encoding order, so each orbit's first
+    square is its generator and orbits come in generator order.  A
+    repeated square raises ValueError.
+    """
+    parts: dict[Hashable, list[Square]] = {}
+    previous = None
+    for sq in sorted(subject, key=encode_square):
+        if sq.cells == previous:
+            raise ValueError(f"subject repeats the square {encode_square(sq)}")
+        previous = sq.cells
+        parts.setdefault(label(sq), []).append(sq)
+    if not parts:
+        raise ValueError("subject is empty")
+    orbits = (Orbit(frozenset(members), members[0]) for members in parts.values())
+    return OrbitPartition(subject_name, method, tuple(orbits))
+
+
 def decompose(
     subject: Iterable[Square],
     group: TransformationGroup,
     subject_name: str = "",
 ) -> OrbitPartition:
-    """Peel the subject into orbits of its symmetry group.
+    """Partition the subject into orbits of its symmetry group.
 
-    Repeatedly takes the unassigned square with the smallest encoding,
-    expands its group orbit, and removes it; the orbit count does not
-    depend on the peeling order (orbits are equivalence classes).
+    The first square of an orbit met in encoding order is mapped through
+    every group member, and its images are labelled with it.  The subject
+    must be exactly the set the group was built over.
     """
-    items = sorted(((encode_square(sq), sq) for sq in subject), key=lambda e: e[0])
-    for _, sq in items:
-        if sq.cells not in group.subject:
-            raise ValueError("subject square missing from the group's subject set")
-    if len(items) != len(group.subject):
+    label_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def label(sq: Square) -> tuple[int, ...]:
+        src = sq.cells
+        if src not in label_of:
+            if src not in group.subject:
+                raise ValueError("subject square missing from the group's subject set")
+            images = {image(src) for image in group._images}
+            if not images <= group.subject:
+                raise ValueError("a group image leaves the subject")
+            label_of.update(dict.fromkeys(images, src))
+        return label_of[src]
+
+    partition = _grouped(subject, label, "group", subject_name)
+    if partition.total != len(group.subject):
         raise ValueError(
-            f"subject has {len(items)} squares, group was built over {len(group.subject)}"
+            f"subject has {partition.total} squares, "
+            f"group was built over {len(group.subject)}"
         )
-    orbits: list[Orbit] = []
-    assigned: set[tuple[int, ...]] = set()
-    for enc, sq in items:
-        if sq.cells in assigned:
-            continue
-        orb = orbit(sq, group)
-        if orb.generator.cells != sq.cells:
-            raise AssertionError("peeled square is not its orbit's minimum")
-        orbits.append(orb)
-        assigned.update(m.cells for m in orb.members)
-    if len(assigned) != len(items):
-        raise ValueError("group orbits left part of the subject uncovered")
-    return OrbitPartition(subject_name, "group", tuple(orbits))
+    return partition
 
 
 def symmetric_closure_partition(
@@ -115,18 +137,17 @@ def symmetric_closure_partition(
 ) -> OrbitPartition:
     """Partition the subject into classes of mutually symmetric squares.
 
-    Squares are grouped by canonical_key; each part's generator is its
-    smallest-encoding member, and parts come in ascending generator
-    encoding.  Whether a magic image escapes the subject is not checked
-    here: census() checks that across the Trigg classes.
+    Squares are labelled by canonical_key.  Whether a magic image escapes
+    the subject is not checked here: census() checks that across the
+    Trigg classes.
 
     Keys are computed once per dihedral orbit: a square's key is every
     triple image's key, so it is given to all grid_symmetries images.
     """
-    parts: dict[str, list[Square]] = {}
     key_of: dict[tuple[int, ...], str] = {}
     images: dict[int, list[itemgetter]] = {}
-    for sq in subject:
+
+    def label(sq: Square) -> str:
         key = key_of.get(sq.cells)
         if key is None:
             key = canonical_key(sq)
@@ -134,15 +155,9 @@ def symmetric_closure_partition(
             if n not in images:
                 images[n] = [itemgetter(*t.cell_map()) for t in grid_symmetries(n)]
             key_of.update((image(sq.cells), key) for image in images[n])
-        parts.setdefault(key, []).append(sq)
-    if not parts:
-        raise ValueError("subject is empty")
-    orbits = [
-        Orbit(frozenset(members), min(members, key=encode_square))
-        for members in parts.values()
-    ]
-    orbits.sort(key=lambda o: encode_square(o.generator))
-    return OrbitPartition(subject_name, "closure", tuple(orbits))
+        return key
+
+    return _grouped(subject, label, "closure", subject_name)
 
 
 @dataclass(frozen=True)
@@ -281,12 +296,6 @@ def class_census(letter: str, members: Sequence[Square], name: str) -> ClassCens
     group = symmetry_group(members)
     group_part = decompose(members, group, name)
     closure_part = symmetric_closure_partition(members, name)
-    for part in (group_part, closure_part):
-        if part.total != len(members):
-            raise ValueError(
-                f"{name} {part.method} partition covers {part.total} "
-                f"of {len(members)} squares"
-            )
     return ClassCensus(letter, len(members), group, group_part, closure_part)
 
 

@@ -17,10 +17,6 @@ set, each member is h = s(h0), h0 the first square of its orbit, so
 t(h) = (t after s)(h0) is in that orbit for every t in S.  The cost is
 |T| * k + |S|^2 + |S| * (orbit count) image lookups, for T candidates and
 k filtering members (2 for Trigg A, 1 for D, 0 for B, C), not |G| * |S|.
-
-Orbits of that action partition G, and each orbit's designated
-representative (its generator) is the member with the smallest canonical
-text encoding.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable
 
-from .squares import Square, Transformation, encode_square, identity_transformation
+from .squares import Square, Transformation, identity_transformation
 from .squares import _invert_perm
 
 
@@ -51,7 +47,7 @@ class TransformationGroup:
 
     @cached_property
     def _images(self) -> list[itemgetter]:
-        """One image getter per member, built once per group for orbit()."""
+        """One image getter per member, built once per group."""
         return [itemgetter(*t.cell_map()) for t in self.members]
 
     def pair_view(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -201,13 +197,3 @@ class Orbit:
     def size(self) -> int:
         return len(self.members)
 
-
-def orbit(square: Square, group: TransformationGroup) -> Orbit:
-    """All images of the square under the group; generator = smallest encoding."""
-    if square.cells not in group.subject:
-        raise ValueError("square outside the group's subject set")
-    src = square.cells
-    seen = {image(src) for image in group._images}
-    members = frozenset(Square(square.order, cells) for cells in seen)
-    generator = min(members, key=encode_square)
-    return Orbit(members, generator)

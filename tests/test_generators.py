@@ -15,7 +15,7 @@ from magicgen.generators import (
     symmetric_closure_partition,
     verify_partition,
 )
-from magicgen.groups import Orbit, symmetry_group
+from magicgen.groups import Orbit, TransformationGroup, symmetry_group
 from magicgen.squares import Transformation, encode_square
 
 
@@ -116,19 +116,15 @@ class TestPeelingOrderIndependence:
         forward = decompose(members, group, "D")
         # Re-peel from the other end by reversing the selection order.
         remaining = {sq.cells: sq for sq in members}
-        backward_orbits = []
-        from magicgen.groups import orbit as group_orbit
-
+        backward_orbits = set()
         while remaining:
             sq = max(remaining.values(), key=encode_square)
-            orb = group_orbit(sq, group)
-            backward_orbits.append(orb)
-            for m in orb.members:
-                del remaining[m.cells]
-        as_sets = lambda orbits: {
-            frozenset(m.cells for m in o.members) for o in orbits
-        }
-        assert as_sets(forward.orbits) == as_sets(backward_orbits)
+            orb = frozenset(t.apply(sq).cells for t in group.members)
+            backward_orbits.add(orb)
+            for cells in orb:
+                del remaining[cells]
+        forward_orbits = {frozenset(m.cells for m in o.members) for o in forward.orbits}
+        assert forward_orbits == backward_orbits
 
 
 class TestVerifyPartition:
@@ -199,12 +195,25 @@ class TestVerifyPartition:
             assert verdict.problems == (f"{clash} to each other",)
 
 
-def test_decompose_rejects_foreign_squares(census4):
+def test_decompose_rejects_foreign_squares(census4, all3):
     a = census4.trigg_members("A")
     d = census4.trigg_members("D")
     group_d = symmetry_group(d)
     with pytest.raises(ValueError, match="missing from the group"):
         decompose(a, group_d, "mismatch")
+    group3 = symmetry_group(all3)
+    lone = TransformationGroup(group3.members, frozenset([all3[0].cells]), 3)
+    with pytest.raises(ValueError, match="leaves the subject"):
+        decompose(all3[:1], lone)
+
+
+def test_repeated_square_rejected(all3):
+    # A repeat must not make up for a missing square in the size check.
+    repeated = all3[:7] + [all3[0]]
+    with pytest.raises(ValueError, match="repeats the square"):
+        decompose(repeated, symmetry_group(all3))
+    with pytest.raises(ValueError, match="repeats the square"):
+        symmetric_closure_partition(repeated)
 
 
 def test_closure_partition_keys_one_square_per_dihedral_orbit(census4, monkeypatch):
@@ -220,3 +229,24 @@ def test_closure_partition_keys_one_square_per_dihedral_orbit(census4, monkeypat
     assert len(members) == 3968
     assert len(calls) == 496
     assert part.size_histogram == REFERENCE_HISTOGRAMS["B"]
+
+
+def test_partitions_encode_each_square_once(census4, monkeypatch):
+    # One sort by encoding per partition, and its orbits hold the
+    # subject's own squares.
+    calls = []
+    encode = generators.encode_square
+    monkeypatch.setattr(
+        generators, "encode_square", lambda sq: calls.append(sq) or encode(sq)
+    )
+    members = census4.trigg_members("B")
+    own = {id(sq) for sq in members}
+    group = symmetry_group(members)
+    for partition in (
+        lambda: decompose(members, group, "trigg_B"),
+        lambda: symmetric_closure_partition(members, "trigg_B"),
+    ):
+        calls.clear()
+        part = partition()
+        assert len(calls) == len(members) == 3968
+        assert all(id(m) in own for orb in part.orbits for m in orb.members)

@@ -8,13 +8,8 @@ from conftest import universe
 
 from magicgen import groups
 from magicgen.enumerator import Shard, iter_squares
-from magicgen.generators import symmetric_closure_partition
-from magicgen.groups import (
-    GroupClosureError,
-    canonical_key,
-    orbit,
-    symmetry_group,
-)
+from magicgen.generators import decompose, symmetric_closure_partition
+from magicgen.groups import GroupClosureError, canonical_key, symmetry_group
 from magicgen.squares import (
     Square,
     Transformation,
@@ -73,7 +68,7 @@ class TestSymmetryGroup:
         assert set(group3.members) == set(grid_symmetries(3))
 
     def test_order3_action_is_transitive(self, all3, group3):
-        orb = orbit(all3[0], group3)
+        (orb,) = decompose(all3, group3).orbits
         assert orb.size == 8
         assert {m.cells for m in orb.members} == {sq.cells for sq in all3}
 
@@ -192,7 +187,8 @@ def _seeded_subject(rng, catalog4, triples) -> list[Square]:
 
 
 def test_seeded_subjects_match_the_references(catalog4):
-    # Partly closed subjects: the group against the universe filter, and
+    # Partly closed subjects: the group against the universe filter, its
+    # orbits against each square's images under the group's members, and
     # the closure partition against grouping every square by its own key.
     rng = random.Random(12)
     triples = _triples(4)
@@ -202,6 +198,16 @@ def test_seeded_subjects_match_the_references(catalog4):
         group = symmetry_group(subject)
         assert set(group.members) == _universe_filter(subject)
         nontrivial += len(group) > 1
+
+        orbit_of: dict[frozenset, Square] = {}
+        for sq in subject:
+            images = [t.apply(sq) for t in group.members]
+            cells = frozenset(image.cells for image in images)
+            orbit_of[cells] = min(images, key=encode_square)
+        expected = sorted((encode_square(g), set(c)) for c, g in orbit_of.items())
+        parts = decompose(subject, group).orbits
+        got = [(encode_square(o.generator), {m.cells for m in o.members}) for o in parts]
+        assert got == expected
 
         by_key: dict[str, list[Square]] = {}
         for sq in subject:
@@ -289,9 +295,12 @@ class TestAreSymmetric:
 
 
 class TestOrbit:
-    def test_orbit_size_divides_group_order(self, all3, group3):
-        orb = orbit(all3[0], group3)
-        assert len(group3) % orb.size == 0
+    def test_orbit_size_divides_group_order(self, all3, group3, gencensus4):
+        pairs = [(group3, decompose(all3, group3))]
+        pairs += [(c.group, c.group_partition) for c in gencensus4.classes]
+        for group, partition in pairs:
+            for orb in partition.orbits:
+                assert len(group) % orb.size == 0
 
     def test_orbit_is_stable_under_group_members(self, gencensus4):
         cls = gencensus4.by_letter("D")
@@ -301,16 +310,20 @@ class TestOrbit:
             for m in list(orb.members)[:4]:
                 assert t.apply(m).cells in members
 
-    def test_generator_is_lexicographic_minimum(self, all3, group3):
-        orb = orbit(all3[-1], group3)
-        assert encode_square(orb.generator) == min(
-            encode_square(m) for m in orb.members
-        )
+    def test_generator_is_lexicographic_minimum(self, all3, group3, gencensus4):
+        partitions = [decompose(all3, group3)]
+        for cls in gencensus4.classes:
+            partitions += [cls.group_partition, cls.closure_partition]
+        for partition in partitions:
+            for orb in partition.orbits:
+                assert encode_square(orb.generator) == min(
+                    encode_square(m) for m in orb.members
+                )
 
-    def test_outside_subject_rejected(self, group3, durer, lo_shu):
+    def test_outside_subject_rejected(self, all3, group3):
         bad = Square.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        with pytest.raises(ValueError, match="outside"):
-            orbit(bad, group3)
+        with pytest.raises(ValueError, match="missing from the group"):
+            decompose(all3[1:] + [bad], group3)
 
     def test_type_a_group_orbits_have_size_192(self, gencensus4):
         # The class group (order 192) acts freely on Trigg A: six orbits of
