@@ -143,16 +143,13 @@ class CatalogRecord:
     """One classified square; orbit fields appear once generators ran."""
 
     line: int
-    encoding: str
+    square: Square
     dudeney: str
     trigg: str
     vi_split: str | None
     broken_diagonals: int
     orbit_id: int | None = None
     is_generator: bool | None = None
-
-    def square(self) -> Square:
-        return parse_square(self.encoding)
 
 
 _COLUMNS = "line|square|dudeney|trigg|vi_split|broken_diagonals|orbit_id|is_generator"
@@ -163,29 +160,18 @@ def classification_text(records: Iterable[CatalogRecord], fmt: str = "tsv") -> s
         raise ValueError(f"unknown classification format {fmt!r}")
     lines = [FORMAT_LINE, f"# kind=classification columns={_COLUMNS}"]
     for r in records:
+        enc = encode_square(r.square)
         vi = r.vi_split if r.vi_split is not None else "-"
         oid = str(r.orbit_id) if r.orbit_id is not None else "-"
         gen = ("1" if r.is_generator else "0") if r.is_generator is not None else "-"
         if fmt == "tsv":
-            lines.append(
-                "\t".join(
-                    (
-                        str(r.line),
-                        r.encoding,
-                        r.dudeney,
-                        r.trigg,
-                        vi,
-                        str(r.broken_diagonals),
-                        oid,
-                        gen,
-                    )
-                )
-            )
+            row = (str(r.line), enc, r.dudeney, r.trigg, vi, str(r.broken_diagonals))
+            lines.append("\t".join((*row, oid, gen)))
         else:
             lines.append(
                 f"line={r.line};dudeney={r.dudeney};trigg={r.trigg};vi_split={vi};"
                 f"broken_diagonals={r.broken_diagonals};orbit_id={oid};"
-                f"is_generator={gen};square={r.encoding}"
+                f"is_generator={gen};square={enc}"
             )
     lines.append("")
     return "\n".join(lines)
@@ -197,7 +183,7 @@ def _record_from_fields(fields: dict[str, str]) -> CatalogRecord:
     gen = fields["is_generator"]
     return CatalogRecord(
         line=int(fields["line"]),
-        encoding=fields["square"],
+        square=parse_square(fields["square"]),
         dudeney=fields["dudeney"],
         trigg=fields["trigg"],
         vi_split=None if vi == "-" else vi,
@@ -213,18 +199,19 @@ def read_classification(path: str | os.PathLike) -> list[CatalogRecord]:
     for line in _data_lines(Path(path)):
         if "\t" in line:
             parts = line.split("\t")
-            if len(parts) != len(names):
-                raise ValueError(f"bad classification row: {line!r}")
-            fields = dict(zip(names, parts))
+            fields = dict(zip(names, parts)) if len(parts) == len(names) else {}
         else:
             head, _, enc = line.partition(";square=")
             fields = {"square": enc}
             for item in head.split(";"):
                 k, _, v = item.partition("=")
                 fields[k] = v
+        try:
             if sorted(fields) != sorted(names):
-                raise ValueError(f"bad classification row: {line!r}")
-        records.append(_record_from_fields(fields))
+                raise ValueError(f"expected the columns {_COLUMNS}")
+            records.append(_record_from_fields(fields))
+        except ValueError as exc:
+            raise ValueError(f"bad classification row: {line!r}: {exc}") from None
     return records
 
 

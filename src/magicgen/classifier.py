@@ -184,7 +184,12 @@ class DudeneyCensus:
         return cls(classes, assign_labels(classes))
 
     def label_of(self, square: Square) -> ClassLabel:
-        """Classify any order-4 magic square by its signature, VI split included."""
+        """Classify any order-4 magic square by its signature, VI split included.
+
+        A square that is not normal magic is a ValueError.
+        """
+        if not is_normal_magic(square):
+            raise ValueError(f"square {encode_square(square)} is not normal magic")
         label = self.labels[signature(square)]
         return with_vi_split(label, count_magic_broken_diagonals(square))
 

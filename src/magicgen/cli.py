@@ -28,7 +28,7 @@ from .catalog import (
 )
 from .classifier import DudeneyCensus
 from .constraints import build_system, cell_name
-from .enumerator import Shard, iter_squares, shard_for, trial_cells
+from .enumerator import Shard, checked_plan, iter_squares, shard_for, trial_cells
 from .generators import census as generator_census
 from .groups import symmetry_group
 from .pipeline import (
@@ -60,7 +60,9 @@ def _shard_from_args(args, n: int) -> Shard | None:
         return None
     if len(cells) != len(values):
         raise ValueError("--shard-cell and --shard-value must be paired")
-    return shard_for(n, [_parse_cell(c, n) for c in cells], values)
+    shard = shard_for(n, [_parse_cell(c, n) for c in cells], values)
+    checked_plan(n, [shard])
+    return shard
 
 
 def _cmd_enumerate(args) -> int:
@@ -100,7 +102,7 @@ def _cmd_classify(args) -> int:
 
 def _squares_by_trigg(path: str, letter: str):
     records = read_classification(path)
-    return [r.square() for r in records if r.trigg == letter]
+    return [r.square for r in records if r.trigg == letter]
 
 
 def _cmd_group(args) -> int:
@@ -120,7 +122,7 @@ def _cmd_group(args) -> int:
 
 def _cmd_generators(args) -> int:
     records = read_classification(args.infile)
-    squares = [r.square() for r in records]
+    squares = [r.square for r in records]
     dudeney = DudeneyCensus.from_catalog(squares)
     gens = generator_census(dudeney)
     write_atomic(args.out, generators_text(gens))

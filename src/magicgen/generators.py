@@ -335,10 +335,4 @@ def census(dudeney: DudeneyCensus) -> GeneratorCensus:
                     f"symmetric squares lie in Trigg classes {prior} and "
                     f"{cls.letter}: {encode_square(orb.generator)}"
                 )
-    result = compared_census(classes)
-    if (
-        result.total_generators != REFERENCE_TOTAL_GENERATORS
-        and not result.discrepancies
-    ):
-        raise AssertionError("totals disagree but no histogram discrepancy recorded")
-    return result
+    return compared_census(classes)

@@ -2,7 +2,7 @@
 
 Orders 3 and 4 run to completion on a desk.  The order-4 catalog is
 labelled from the Dudeney census partition, which already holds each
-square; DudeneyCensus.label_of classifies any square on its own.  Order
+square; DudeneyCensus.label_of classifies any magic square on its own.  Order
 5 is a long-running job: the pipeline checks a shard plan of disjoint
 subtrees, lays it out, and executes count-only shard jobs, skipping any
 shard whose count file already holds a well-formed count for the same
@@ -54,7 +54,7 @@ def classify_catalog(
 
     The census has already put each square in its class, so the label is
     looked up by cells, not recomputed; a square outside the census is a
-    ValueError (DudeneyCensus.label_of classifies any order-4 square).
+    ValueError (DudeneyCensus.label_of classifies any order-4 magic square).
     Broken diagonals are counted once, for the record and the VI split.
     """
     label_by_cells = {
@@ -72,7 +72,7 @@ def classify_catalog(
         records.append(
             CatalogRecord(
                 line=i,
-                encoding=encode_square(sq),
+                square=sq,
                 dudeney=label.dudeney,
                 trigg=label.trigg,
                 vi_split=label.vi_split,
@@ -85,18 +85,14 @@ def classify_catalog(
 def attach_orbits(
     records: Iterable[CatalogRecord], gens: GeneratorCensus
 ) -> list[CatalogRecord]:
-    """Fill orbit_id/is_generator from the closure partitions."""
-    orbit_of: dict[str, int] = {}
-    generator_encs: set[str] = set()
-    oid = 0
-    for cls in gens.classes:
-        for orb in cls.closure_partition.orbits:
-            generator_encs.add(encode_square(orb.generator))
-            for m in orb.members:
-                orbit_of[encode_square(m)] = oid
-            oid += 1
+    """Fill orbit_id/is_generator from the closure partitions, keyed by cells."""
+    orbits = [orb for cls in gens.classes for orb in cls.closure_partition.orbits]
+    orbit_of = {m.cells: oid for oid, orb in enumerate(orbits) for m in orb.members}
+    generators = {orb.generator.cells for orb in orbits}
     return [
-        replace(r, orbit_id=orbit_of[r.encoding], is_generator=r.encoding in generator_encs)
+        replace(
+            r, orbit_id=orbit_of[r.square.cells], is_generator=r.square.cells in generators
+        )
         for r in records
     ]
 

@@ -6,6 +6,7 @@ from itertools import islice
 
 import pytest
 
+from magicgen import catalog
 from magicgen.catalog import (
     CatalogRecord,
     catalog_text,
@@ -17,7 +18,7 @@ from magicgen.catalog import (
 )
 from magicgen.cli import main
 from magicgen.enumerator import iter_squares
-from magicgen.squares import encode_square
+from magicgen.squares import encode_square, parse_square
 
 
 @pytest.fixture
@@ -122,9 +123,12 @@ def test_catalog_without_order_line_infers_per_line(tmp_path):
     assert verify_catalog(path).ok
 
 
+DURER_TEXT = "16 3 2 13 5 10 11 8 9 6 7 12 4 15 14 1"
 RECORDS = [
-    CatalogRecord(0, "16 3 2 13 5 10 11 8 9 6 7 12 4 15 14 1", "III", "A", None, 2),
-    CatalogRecord(1, "1 10 15 8 12 13 6 3 5 4 11 14 16 7 2 9", "VI", "B", "VI'", 0, 7, True),
+    CatalogRecord(0, parse_square(DURER_TEXT), "III", "A", None, 2),
+    CatalogRecord(
+        1, parse_square("1 10 15 8 12 13 6 3 5 4 11 14 16 7 2 9"), "VI", "B", "VI'", 0, 7, True
+    ),
 ]
 
 
@@ -134,6 +138,33 @@ def test_classification_round_trip(tmp_path, fmt):
     write_atomic(path, classification_text(RECORDS, fmt))
     back = read_classification(path)
     assert back == RECORDS
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "kv"])
+def test_bad_square_row_rejected(tmp_path, fmt):
+    # The first record's square repeats 16 in its last cell.
+    bad_text = DURER_TEXT[:-1] + "16"
+    text = classification_text(RECORDS, fmt).replace(DURER_TEXT, bad_text)
+    row = next(line for line in text.splitlines() if bad_text in line)
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_classification(path)
+    assert str(info.value) == f"bad classification row: {row!r}: cell 15 repeats the value 16"
+
+
+def test_classification_text_encodes_each_square_once(monkeypatch):
+    encoded = []
+
+    def counting_encode(square):
+        encoded.append(square.cells)
+        return encode_square(square)
+
+    monkeypatch.setattr(catalog, "encode_square", counting_encode)
+    for fmt in ("tsv", "kv"):
+        encoded.clear()
+        classification_text(RECORDS, fmt)
+        assert encoded == [r.square.cells for r in RECORDS]
 
 
 def test_malformed_kv_row_rejected(tmp_path):
@@ -189,5 +220,7 @@ def test_unknown_format_rejected():
         classification_text(RECORDS, "csv")
 
 
-def test_record_square_parses():
-    assert RECORDS[0].square().cells[0] == 16
+def test_record_square_parses(tmp_path):
+    path = tmp_path / "classes.tsv"
+    write_atomic(path, classification_text(RECORDS))
+    assert read_classification(path)[0].square.cells[0] == 16

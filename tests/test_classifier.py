@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from magicgen import classifier
+from magicgen import classifier, pipeline
 from magicgen.classifier import (
     DUDENEY_POPULATIONS,
     ROMAN,
@@ -23,7 +24,7 @@ from magicgen.classifier import (
 )
 from magicgen.constraints import build_system
 from magicgen.groups import canonical_key
-from magicgen.pipeline import classify_catalog
+from magicgen.pipeline import attach_orbits, classify_catalog
 from magicgen.squares import (
     Square,
     encode_square,
@@ -140,6 +141,18 @@ def test_population_mismatch_rejected(census4):
         assign_labels(classes)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16",
+        "8 12 5 9 13 7 10 4 2 14 3 15 11 1 16 6",  # see test_non_magic_square_rejected
+    ],
+)
+def test_label_of_rejects_non_magic_squares(census4, text):
+    with pytest.raises(ValueError, match="is not normal magic"):
+        census4.label_of(parse_square(text))
+
+
 def test_durer_is_type_three(durer, census4):
     label = census4.label_of(durer)
     assert label.dudeney == "III"
@@ -223,7 +236,7 @@ class TestClassifyCatalog:
         assert [r.line for r in records] == list(range(len(catalog4)))
         for sq, rec in zip(catalog4, records):
             label = census4.label_of(sq)
-            assert rec.encoding == encode_square(sq)
+            assert rec.square == sq
             assert (rec.dudeney, rec.trigg, rec.vi_split) == (
                 label.dudeney,
                 label.trigg,
@@ -250,6 +263,22 @@ class TestClassifyCatalog:
         assert classify_catalog(catalog4, census4) == expected
         # Broken diagonals are counted once per square, VI split included.
         assert sorted(counted) == sorted(sq.cells for sq in catalog4)
+
+    def test_attach_orbits_keys_by_cells(self, catalog4, census4, gencensus4, monkeypatch):
+        records = classify_catalog(catalog4, census4)
+
+        def no_encode(square):
+            raise AssertionError("attach_orbits encoded a square")
+
+        monkeypatch.setattr(pipeline, "encode_square", no_encode)
+        attached = attach_orbits(records, gencensus4)
+        orbits = [o for cls in gencensus4.classes for o in cls.closure_partition.orbits]
+        assert [replace(r, orbit_id=None, is_generator=None) for r in attached] == records
+        for r in attached:
+            orbit = orbits[r.orbit_id]
+            assert r.square in orbit.members
+            assert r.is_generator == (r.square == orbit.generator)
+        assert sum(r.is_generator for r in attached) == 95
 
     def test_square_outside_the_census_rejected(self, catalog4, census4):
         outside = Square(4, tuple(range(1, 17)))

@@ -100,6 +100,14 @@ def test_enumerate_rejects_bad_shard_cell(capsys):
     assert "leading trial cells" in capsys.readouterr().err
 
 
+def test_enumerate_checks_the_shard_before_writing(capsys):
+    argv = ["enumerate", "--order", "4", "--shard-cell", "a", "--shard-value", "99"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: shard prefix value 99 outside 1..16\n"
+
+
 def test_enumerate_order5_requires_long_run_or_shard(capsys):
     assert main(["enumerate", "--order", "5"]) == 1
     assert "long-running" in capsys.readouterr().err
@@ -253,7 +261,7 @@ class TestOrder4Flow:
         assert len(records) == 7040
         # classify alone leaves orbit fields unset; labels must agree.
         for mine, theirs in zip(records, pipeline_records):
-            assert mine.encoding == theirs.encoding
+            assert mine.square == theirs.square
             assert mine.dudeney == theirs.dudeney
             assert mine.trigg == theirs.trigg
             assert mine.vi_split == theirs.vi_split

@@ -1,6 +1,7 @@
-"""Names other code reaches into magicgen by: the package's exports and the
-attributes the benchmark's tracer wraps.  A refactor that drops one fails
-here rather than only in a traced benchmark run."""
+"""Names and output other code reaches into magicgen by: the package's
+exports, the attributes the benchmark's tracer wraps, and the pipeline's
+stderr line the benchmark times.  A refactor that drops one fails here
+rather than only in a benchmark run."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import importlib
 import pytest
 
 import magicgen
+from magicgen.cli import main
 from perfbench.tracing import LIBRARY_TARGETS, PIPELINE_TARGETS
 
 
@@ -33,3 +35,10 @@ def test_traced_name_resolves(owner_path, attr, kind):
         assert isinstance(owner.__dict__.get(attr), classmethod)
     else:
         assert callable(getattr(owner, attr, None))
+
+
+def test_pipeline_reports_the_enumerate_stage_first(tmp_path, capsys):
+    # perfbench's order4-pipeline takes full_count_s from this line.
+    assert main(["pipeline", "--order", "4", "--out-dir", str(tmp_path)]) == 0
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("# stage=enumerate count=")
