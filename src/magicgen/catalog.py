@@ -112,7 +112,7 @@ class CatalogVerdict:
 
 
 def verify_catalog(path: str | os.PathLike, order: int | None = None) -> CatalogVerdict:
-    """Re-parse a catalog and re-check every square independently."""
+    """Re-parse a catalog and re-check every square; problems past 20 are counted."""
     problems: list[str] = []
     seen: set[tuple[int, ...]] = set()
     count = 0
@@ -128,9 +128,8 @@ def verify_catalog(path: str | os.PathLike, order: int | None = None) -> Catalog
         if sq.cells in seen:
             problems.append(f"line {lineno}: duplicate square")
         seen.add(sq.cells)
-        if len(problems) >= 20:
-            problems.append("... further problems suppressed")
-            break
+    if len(problems) > 20:
+        problems[20:] = [f"... {len(problems) - 20} further problems suppressed"]
     return CatalogVerdict(not problems, count, tuple(problems))
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .squares import magic_constant
+from .squares import _tables, magic_constant
 
 
 def cell_name(idx: int, n: int) -> str:
@@ -110,19 +110,15 @@ class ConstraintSystem:
         return tuple(grid)
 
 
+@lru_cache(maxsize=None)
 def build_system(n: int) -> ConstraintSystem:
-    """Construct and exactly solve the magic-sum system for order n."""
+    """Construct and exactly solve the magic-sum system for order n, once per order."""
     if n < 3:
         raise ValueError(f"order must be >= 3, got {n}")
     n2 = n * n
     mu = magic_constant(n)
-
-    # The magic lines: rows, columns, main diagonal, anti-diagonal.
-    lines = (
-        [[r * n + c for c in range(n)] for r in range(n)]
-        + [[r * n + c for r in range(n)] for c in range(n)]
-        + [[i * n + i for i in range(n)], [i * n + n - 1 - i for i in range(n)]]
-    )
+    # Equation i is magic line i of the line table.
+    lines = _tables(n).magic_lines
     equations = [(tuple(int(i in line) for i in range(n2)), mu) for line in lines]
 
     # Reduced row echelon form, pivoting on the highest-index cell available.

@@ -34,13 +34,15 @@ checks that the images are pairwise distinct, and sorts them by trial
 values.  A plain search emits in exactly that order, so the stream is
 unchanged.  The expanded catalog is kept for the life of the process, and
 an order-4 shard is the part of it whose leading trial values equal the
-shard's prefix.  A shard's subtree holds exactly those squares, and a
-filter keeps the catalog's order, so each shard emits what a search of
-its subtree would, in the same order.
+shard's prefix.  A shard's subtree holds exactly those squares, and the
+catalog is sorted by trial values, so they form a contiguous slice found
+by binary search: each shard emits what a search of its subtree would,
+in the same order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations
@@ -48,7 +50,7 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .constraints import build_system
-from .squares import Square, Transformation, magic_constant
+from .squares import Square, Transformation, _tables, magic_constant
 
 SUPPORTED_ORDERS = (3, 4, 5)
 
@@ -122,8 +124,8 @@ def _plan(n: int) -> _Plan:
     trials = trial_cells(n)
     pos = {cell: i for i, cell in enumerate(trials)}
     n2 = n * n
-    # Each equation is one line: its support is the line's cells.
-    lines = [[c for c, a in enumerate(coeffs) if a] for coeffs, _ in system.equations]
+    # Line i is the support of build_system's equation i.
+    lines = _tables(n).magic_lines
     lines_of = [[] for _ in range(n2)]
     for lid, line in enumerate(lines):
         for cell in line:
@@ -424,9 +426,14 @@ def _raw_iter(n: int, shard: Shard | None) -> Iterator[tuple[int, ...]]:
         )
     prefix = _checked_prefix(n, shard)
     if n == 4:
+        squares = _order4_by_orbits()
         trial_values = itemgetter(*trial_cells(4))
-        k = len(prefix)
-        return (c for c in _order4_by_orbits() if trial_values(c)[:k] == prefix)
+
+        def head(cells: tuple[int, ...]) -> tuple[int, ...]:
+            return trial_values(cells)[: len(prefix)]
+
+        lo = bisect_left(squares, prefix, key=head)
+        return iter(squares[lo : bisect_right(squares, prefix, lo, key=head)])
     return _iter_generic(n, prefix)
 
 

@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .squares import Square, Transformation, identity_transformation
-from .squares import _invert_perm
+from .squares import _invert_perm, _tables
 
 
 class GroupClosureError(RuntimeError):
@@ -175,7 +175,7 @@ def canonical_key(square: Square) -> str:
     digit.  Both transpose choices are tried and the smaller text is kept.
     """
     n = square.order
-    tokens = [str(v) for v in square.cells]
+    tokens = itemgetter(*square.cells)(_tables(n).texts)
     rows = [tokens[r * n : (r + 1) * n] for r in range(n)]
     r1, c1 = divmod(square.cells.index(1), n)
     keys = []

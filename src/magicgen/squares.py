@@ -15,7 +15,9 @@ required.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 
 def magic_constant(n: int) -> int:
@@ -23,6 +25,31 @@ def magic_constant(n: int) -> int:
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     return n * (n * n + 1) // 2
+
+
+class _Tables(NamedTuple):
+    """Per-order constants, built on first use of the order."""
+
+    magic_lines: tuple[tuple[int, ...], ...]  # rows, columns, diagonal, anti-diagonal
+    broken_diagonals: tuple[tuple[int, ...], ...]  # in broken_diagonal_sums' order
+    magic_getters: tuple[itemgetter, ...]
+    broken_getters: tuple[itemgetter, ...]
+    values: frozenset[int]  # 1..n^2
+    texts: tuple[str, ...]  # texts[v] == str(v) for 0 <= v <= n^2
+
+
+@lru_cache(maxsize=None)
+def _tables(n: int) -> _Tables:
+    span = range(n)
+    magic = [tuple(r * n + c for c in span) for r in span]
+    magic += [tuple(r * n + c for r in span) for c in span]
+    magic += [tuple(i * n + i for i in span), tuple(i * n + n - 1 - i for i in span)]
+    broken = [tuple(i * n + (i + k) % n for i in span) for k in range(1, n)]
+    broken += [tuple(i * n + (k - i) % n for i in span) for k in range(n - 1)]
+    getters = [tuple(itemgetter(*line) for line in lines) for lines in (magic, broken)]
+    values = frozenset(range(1, n * n + 1))
+    texts = tuple(map(str, range(n * n + 1)))
+    return _Tables(tuple(magic), tuple(broken), *getters, values, texts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,6 +68,12 @@ class Square:
             raise ValueError(
                 f"expected {n2} cells for order {n}, got {len(self.cells)}"
             )
+        # A permutation of 1..n^2 held in exact ints, at an int order, passes
+        # here; anything else takes the per-cell loop, which names the
+        # offending cell.
+        exact = type(n) is int and set(map(type, self.cells)) == {int}
+        if exact and set(self.cells) == _tables(n).values:
+            return
         seen = 0
         for idx, v in enumerate(self.cells):
             if not 1 <= v <= n2:
@@ -72,7 +105,7 @@ class Square:
 
 def encode_square(square: Square) -> str:
     """Canonical one-line text encoding: cell values, row-major."""
-    return " ".join(str(v) for v in square.cells)
+    return " ".join(itemgetter(*square.cells)(_tables(square.order).texts))
 
 
 def parse_square(line: str, order: int | None = None) -> Square:
@@ -96,7 +129,7 @@ def parse_square(line: str, order: int | None = None) -> Square:
                 f"token count {len(tokens)} is not the square of an order >= 3"
             )
     try:
-        cells = tuple(int(t) for t in tokens)
+        cells = tuple(map(int, tokens))
     except ValueError:
         bad = next(t for t in tokens if not _is_int(t))
         raise ValueError(f"non-integer token {bad!r}") from None
@@ -124,15 +157,10 @@ def _is_magic_grid(cells, n: int) -> bool:
     # Called by is_normal_magic and by the tests' brute-force oracles;
     # assumes cells is a permutation.
     mu = magic_constant(n)
-    for r in range(n):
-        if sum(cells[r * n : (r + 1) * n]) != mu:
+    for line in _tables(n).magic_getters:
+        if sum(line(cells)) != mu:
             return False
-    for c in range(n):
-        if sum(cells[c::n]) != mu:
-            return False
-    if sum(cells[i * n + i] for i in range(n)) != mu:
-        return False
-    return sum(cells[i * n + (n - 1 - i)] for i in range(n)) == mu
+    return True
 
 
 def broken_diagonal_sums(square: Square) -> tuple[int, ...]:
@@ -143,14 +171,8 @@ def broken_diagonal_sums(square: Square) -> tuple[int, ...]:
     ascending.  k = 0 down-right and k = n-1 down-left are the main traces
     and are excluded.
     """
-    n = square.order
     cells = square.cells
-    sums = []
-    for k in range(1, n):
-        sums.append(sum(cells[i * n + (i + k) % n] for i in range(n)))
-    for k in range(n - 1):
-        sums.append(sum(cells[i * n + (k - i) % n] for i in range(n)))
-    return tuple(sums)
+    return tuple([sum(line(cells)) for line in _tables(square.order).broken_getters])
 
 
 def determinant(square: Square) -> int:

@@ -68,6 +68,24 @@ def test_verify_catalog_flags_problems(tmp_path):
     assert "not magic" in joined
 
 
+def test_verify_catalog_counts_past_the_problem_cap(tmp_path, capsys):
+    # 25 copies of a non-magic square, then 30 real squares.
+    path = tmp_path / "capped.txt"
+    bad = " ".join(map(str, range(1, 17))) + "\n"
+    path.write_text(catalog_text(islice(iter_squares(4), 30), 4).replace(
+        "# order=4\n", "# order=4\n" + bad * 25
+    ))
+    verdict = verify_catalog(path, 4)
+    assert not verdict.ok
+    assert verdict.count == 55
+    # 49 problems: the first copy is not magic, each later one also repeats.
+    assert len(verdict.problems) == 21
+    assert verdict.problems[19] == "line 10: square is not magic"
+    assert verdict.problems[20] == "... 29 further problems suppressed"
+    assert main(["verify", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == "# count=55\n"
+
+
 def _mixed_catalog(tmp_path):
     """An order-4 header over 8 order-3 squares and 3 order-4 squares."""
     path = tmp_path / "mixed.txt"

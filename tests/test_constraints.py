@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from magicgen.constraints import build_system, cell_name, dependent_cells_order4
-from magicgen.squares import Square, magic_constant
+from magicgen.squares import Square, _tables, magic_constant
 
 DURER_BASIS = (16, 3, 2, 5, 10, 11, 9)
 DURER_GRID = (16, 3, 2, 13, 5, 10, 11, 8, 9, 6, 7, 12, 4, 15, 14, 1)
@@ -44,6 +44,21 @@ def test_system_shape(n, equations, rank, free):
     assert s.rank == rank
     assert len(s.free_cells) == free
     assert s.rank + len(s.free_cells) == n * n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_equation_supports_are_the_table_lines(n):
+    supports = [
+        tuple(i for i, a in enumerate(coeffs) if a) for coeffs, _ in build_system(n).equations
+    ]
+    assert supports == list(_tables(n).magic_lines)
+
+
+def test_system_is_solved_once_per_order():
+    assert build_system(5) is build_system(5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="order must be >= 3, got 2"):
+            build_system(2)
 
 
 def test_order4_basis_is_the_canonical_seven():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from itertools import islice, permutations
+from operator import itemgetter
 
 import pytest
 from conftest import is_least
@@ -127,6 +128,20 @@ class TestShards:
         counts = [count_squares(4, s) for s in single_cell_shards(4)]
         assert len(counts) == 16
         assert sum(counts) == 7040
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_order4_shards_are_the_trial_value_filter(self, catalog4, depth):
+        # Every prefix of the depth, empty shards included, against a
+        # filter over the whole catalog.
+        trial_values = itemgetter(*trial_cells(4))
+        cells = [sq.cells for sq in catalog4]
+        empty = 0
+        for prefix in permutations(range(1, 17), depth):
+            expected = [c for c in cells if trial_values(c)[:depth] == prefix]
+            assert [sq.cells for sq in iter_squares(4, Shard(prefix))] == expected
+            assert count_squares(4, Shard(prefix)) == len(expected)
+            empty += not expected
+        assert empty == (0 if depth == 1 else 6)
 
     def test_invalid_prefixes_rejected(self):
         with pytest.raises(ValueError, match="repeats"):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from magicgen.squares import (
     Square,
     Transformation,
+    _is_magic_grid,
+    _tables,
     broken_diagonal_sums,
     determinant,
     encode_square,
@@ -72,6 +75,109 @@ class TestSquareValidation:
     def test_rejects_small_order(self):
         with pytest.raises(ValueError, match="order"):
             Square(2, (1, 2, 3, 4))
+
+    @pytest.mark.parametrize(
+        "n, cells, error, message",
+        [
+            (3, (0, 2, 3, 4, 5, 6, 7, 8, 9), ValueError, "cell 0 holds 0, outside the range 1..9"),
+            (3, tuple(range(9)), ValueError, "cell 0 holds 0, outside the range 1..9"),
+            (3, tuple(range(2, 11)), ValueError, "cell 8 holds 10, outside the range 1..9"),
+            (3, (1, 2, 3, 4, 5, 6, 7, 8, 8), ValueError, "cell 8 repeats the value 8"),
+            (4, tuple(range(1, 16)), ValueError, "expected 16 cells for order 4, got 15"),
+            (2, (1, 2, 3, 4), ValueError, "square order must be >= 3, got 2"),
+            (
+                3,
+                (1, 2, 3, 4, 5.0, 6, 7, 8, 9),
+                TypeError,
+                "unsupported operand type(s) for <<: 'int' and 'float'",
+            ),
+        ],
+        ids=["zero", "shifted-down", "shifted-up", "duplicate", "count", "order", "float"],
+    )
+    def test_rejection_names_the_cell(self, n, cells, error, message):
+        with pytest.raises(error) as info:
+            Square(n, cells)
+        assert str(info.value) == message
+
+    def test_accepts_permutations(self, durer):
+        assert Square(4, durer.cells).cells == durer.cells
+        # bool is an int subclass: True is accepted as the value 1.
+        sq = Square(3, (True, 2, 3, 4, 5, 6, 7, 8, 9))
+        assert sq == Square(3, tuple(range(1, 10)))
+        assert encode_square(sq) == "1 2 3 4 5 6 7 8 9"
+
+    def test_acceptance_does_not_wait_for_the_tables(self, durer):
+        # The per-cell loop accepts an order of 4.0; it must do so before
+        # any order-4 table exists too.
+        _tables.cache_clear()
+        assert Square(4.0, durer.cells).cells == durer.cells
+
+
+def _lines_by_formula(n: int):
+    """Magic lines and broken diagonals as cell sets picked by coordinates.
+
+    Rows, columns, the main diagonal, the anti-diagonal; then the broken
+    diagonals in broken_diagonal_sums' documented order.  Each line lists
+    its cells in reading order.
+    """
+    coords = [divmod(i, n) for i in range(n * n)]
+
+    def where(on_line) -> tuple[int, ...]:
+        return tuple(i for i, (r, c) in enumerate(coords) if on_line(r, c))
+
+    magic = (
+        [where(lambda r, c, k=k: r == k) for k in range(n)]
+        + [where(lambda r, c, k=k: c == k) for k in range(n)]
+        + [where(lambda r, c: r == c), where(lambda r, c: r + c == n - 1)]
+    )
+    broken = [where(lambda r, c, k=k: (c - r) % n == k) for k in range(1, n)] + [
+        where(lambda r, c, k=k: (r + c) % n == k) for k in range(n - 1)
+    ]
+    return magic, broken
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+class TestLineTable:
+    def test_lines_match_the_index_formula(self, n):
+        magic, broken = _lines_by_formula(n)
+        table = _tables(n)
+        assert table.magic_lines == tuple(magic)
+        assert table.broken_diagonals == tuple(broken)
+        cells = tuple(range(100, 100 + n * n))
+        for getters, lines in ((table.magic_getters, magic), (table.broken_getters, broken)):
+            assert [get(cells) for get in getters] == [
+                tuple(cells[i] for i in line) for line in lines
+            ]
+
+    def test_kernels_sum_the_formula_lines(self, n):
+        magic, broken = _lines_by_formula(n)
+        mu = magic_constant(n)
+        # Every formula line of the uniform grid sums to mu; a changed cell
+        # breaks the lines through it.
+        uniform = [Fraction(mu, n)] * (n * n)
+        assert _is_magic_grid(uniform, n)
+        for i in range(n * n):
+            bumped = uniform.copy()
+            bumped[i] += 1
+            assert not _is_magic_grid(bumped, n)
+        rng = random.Random(n)
+        for _ in range(50):
+            sq = random_square(rng, n)
+            assert broken_diagonal_sums(sq) == tuple(
+                sum(sq.cells[i] for i in line) for line in broken
+            )
+            assert _is_magic_grid(sq.cells, n) == all(
+                sum(sq.cells[i] for i in line) == mu for line in magic
+            )
+
+    def test_encode_is_str_per_cell_and_round_trips(self, n):
+        rng = random.Random(n)
+        for _ in range(50):
+            sq = random_square(rng, n)
+            text = encode_square(sq)
+            assert text == " ".join(map(str, sq.cells))
+            assert parse_square(text) == sq
+            assert parse_square(text, order=n) == sq
 
 
 def test_is_normal_magic(lo_shu, durer):
