@@ -114,16 +114,25 @@ def discover_classes(catalog: Iterable[Square]) -> tuple[SignatureClass, ...]:
     Returns the classes sorted by their smallest member encoding.  Raises
     if the catalog is not the full census: a repeated or non-magic square,
     or other than 7040 squares in 12 classes.
+
+    A signature is a minimum over the grid symmetries, so it is computed
+    once per dihedral orbit and given to all 8 images.
     """
     buckets: dict[PairingSignature, list[Square]] = {}
     seen: set[tuple[int, ...]] = set()
+    signature_of: dict[tuple[int, ...], PairingSignature] = {}
+    images = [itemgetter(*t.cell_map()) for t in grid_symmetries(4)]
     for sq in catalog:
         if sq.cells in seen:
             raise ValueError(f"catalog repeats the square {encode_square(sq)}")
         if not is_normal_magic(sq):
             raise ValueError(f"catalog holds a non-magic square {encode_square(sq)}")
         seen.add(sq.cells)
-        buckets.setdefault(signature(sq), []).append(sq)
+        sig = signature_of.get(sq.cells)
+        if sig is None:
+            sig = signature(sq)
+            signature_of.update((image(sq.cells), sig) for image in images)
+        buckets.setdefault(sig, []).append(sq)
     total = len(seen)
     if total != 7040:
         raise ValueError(f"incomplete catalog: {total} squares, expected 7040")

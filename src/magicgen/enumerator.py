@@ -15,10 +15,14 @@ emission order deterministic: two runs produce identical streams, and
 shard outputs concatenated in prefix order reproduce the full run
 byte for byte.
 
-The search is one recursive scan per trial level.  Each row, column and
-trace keeps a (cells-left, partial-sum) counter pair, and a candidate is
-tried on copies of them: a failed candidate drops its copies, an accepted
-one passes them to the next level, so nothing is ever undone.
+The search is one recursive scan per trial level.  The fixed placement
+order fixes how many cells of each line are open at every step, so the
+bounds on what a line still needs are constants of a per-order plan,
+built once.  A level's candidates are one bitmask: the value window, less
+the used values and the values whose unit dependents would repeat one.
+Each dependent's base is carried from level to level, and a candidate
+works on a copy of the line needs: a failed candidate drops it, an
+accepted one passes it on, so nothing is ever undone.
 
 A Shard fixes the values of the first k trial cells, so shards with
 distinct prefixes explore disjoint subtrees and the union over all
@@ -98,24 +102,30 @@ class _Plan:
     trials: tuple[int, ...]
     # Cells whose dependency has no free-cell term: fixed for every square.
     constants: tuple[tuple[int, int], ...]
+    # The placement order fixes how many cells of a line are open at every
+    # step, so each line a cell touches is stored as (line, low, high):
+    # what the line still needs once the cell is placed must lie in
+    # low..high, the least and greatest sums of that many distinct values.
+    # tlines[level]: the lines of trial `level`.
+    tlines: tuple[tuple[tuple[int, int, int], ...], ...]
     # forced[level]: dependents completed by trial `level`, as
-    # (cell, denominator, const_numerator, ((earlier_trial_pos, numerator), ...),
-    #  numerator_of_this_level's_trial, lines_of[cell]); the dependent's
-    # scaled value is const + sum(earlier terms) + m * trial_value.
+    # (cell, den, m, ((line, low, high, one_open), ...)); the scaled value
+    # is base + m * trial_value, divided by den (1 or 2).  A line with one
+    # open cell left (one_open) needs a value not yet used.
     forced: tuple[
-        tuple[
-            tuple[int, int, int, tuple[tuple[int, int], ...], int, tuple[int, ...]],
-            ...,
-        ],
-        ...,
+        tuple[tuple[int, int, int, tuple[tuple[int, int, int, bool], ...]], ...], ...
     ]
-    # lines_of[cell]: ids (build_system equation numbers) of its lines.
-    lines_of: tuple[tuple[int, ...], ...]
-    line_sizes: tuple[int, ...]
-    # Distinct-value completion bounds: min_fill[r]/max_fill[r] bracket the
-    # sum of r distinct values from 1..n^2.
-    min_fill: tuple[int, ...]
-    max_fill: tuple[int, ...]
+    # Dependent bases, carried down the levels: the bases at level L list
+    # the dependents of levels >= L, deepest level first, so level L's own
+    # dependents are the last len(forced[L]).  bases0 holds the constant
+    # numerators; carry[L] the coefficients of trial L for the dependents
+    # of levels > L, so level L+1's bases are level L's plus carry[L] * v.
+    bases0: tuple[int, ...]
+    carry: tuple[tuple[int, ...], ...]
+    # Line needs (magic constant minus placed values) with the constants in.
+    need0: tuple[int, ...]
+    # parity[p]: the values of 1..n^2 of parity p, bit x for value x.
+    parity: tuple[int, int]
 
 
 @lru_cache(maxsize=None)
@@ -126,39 +136,61 @@ def _plan(n: int) -> _Plan:
     n2 = n * n
     # Line i is the support of build_system's equation i.
     lines = _tables(n).magic_lines
-    lines_of = [[] for _ in range(n2)]
-    for lid, line in enumerate(lines):
-        for cell in line:
-            lines_of[cell].append(lid)
+    open_cells = [len(line) for line in lines]
+    need0 = [magic_constant(n)] * len(lines)
+
+    def close(cell: int) -> tuple[tuple[int, int, int, bool], ...]:
+        """Place `cell`: (line, low, high, one_open) for each of its lines."""
+        bounds = []
+        for line, cells in enumerate(lines):
+            if cell in cells:
+                open_cells[line] -= 1
+                r = open_cells[line]
+                bounds.append((line, r * (r + 1) // 2, r * (2 * n2 + 1 - r) // 2, r == 1))
+        return tuple(bounds)
 
     constants: list[tuple[int, int]] = []
     per_level: list[list] = [[] for _ in trials]
     for dep in system.dependencies:
         den, cnum, terms = dep.integer_form()
-        if not terms:
-            if cnum % den:
-                raise ValueError(f"order {n} forces a non-integer cell")  # unreachable
-            constants.append((dep.cell, cnum // den))
-        else:
+        if terms:
+            if den not in (1, 2):
+                raise ValueError(f"order {n} has a dependent over {den}")  # unreachable
+            coeffs = [0] * len(trials)
+            for c, num in terms:
+                coeffs[pos[c]] = num
             level = max(pos[c] for c, _ in terms)
-            earlier = tuple((pos[c], num) for c, num in terms if pos[c] != level)
-            m = next(num for c, num in terms if pos[c] == level)
-            per_level[level].append(
-                (dep.cell, den, cnum, earlier, m, tuple(lines_of[dep.cell]))
-            )
+            per_level[level].append((dep.cell, den, cnum, coeffs))
+            continue
+        value = cnum // den
+        if cnum % den or not 1 <= value <= n2 or value in dict(constants).values():
+            raise ValueError(f"order {n} forces an invalid cell")  # unreachable
+        constants.append((dep.cell, value))
+        for line, *_ in close(dep.cell):
+            need0[line] -= value
 
-    min_fill = tuple(r * (r + 1) // 2 for r in range(n + 1))
-    max_fill = tuple(r * (2 * n2 + 1 - r) // 2 for r in range(n + 1))
-
+    tlines = []
+    forced = []
+    for level, tcell in enumerate(trials):
+        tlines.append(tuple(line[:3] for line in close(tcell)))
+        deps = per_level[level]
+        forced.append(tuple((c, den, cf[level], close(c)) for c, den, _, cf in deps))
+    deepest_first = [dep for deps in reversed(per_level) for dep in deps]
+    later = len(deepest_first)
+    carry = []
+    for level, deps in enumerate(per_level):
+        later -= len(deps)
+        carry.append(tuple(cf[level] for *_, cf in deepest_first[:later]))
     return _Plan(
         n,
         trials,
         tuple(constants),
-        tuple(tuple(lv) for lv in per_level),
-        tuple(tuple(ls) for ls in lines_of),
-        tuple(len(line) for line in lines),
-        min_fill,
-        max_fill,
+        tuple(tlines),
+        tuple(forced),
+        tuple(cnum for _, _, cnum, _ in deepest_first),
+        tuple(carry),
+        tuple(need0),
+        tuple(sum(1 << x for x in range(2 - p, n2 + 1, 2)) for p in (0, 1)),
     )
 
 
@@ -250,23 +282,28 @@ def _iter_generic(
 ) -> Iterator[tuple[int, ...]]:
     """Propagating backtracker over the free-cell basis.
 
-    A recursive scan, one call of `place` per trial level.  Each row,
-    column and trace keeps a (cells-left, partial-sum) counter pair; a
-    candidate is tried on copies of the counters, so a failed candidate is
-    undone by dropping its copies and an accepted one hands them to the
-    next level.  Two pruning devices run on top of the exact dependency
-    forcing:
+    A recursive scan, one call of `place` per trial level.  Its state is
+    the used values as a bitmask (`used`, bit x for value x) and its mirror
+    (`rused`, bit n^2+1-x), what each row, column and trace still needs,
+    and the bases of the dependents still to fire.  A candidate works on a
+    copy of the needs, so a failed candidate is undone by dropping it; an
+    accepted one hands the copy and the bases, advanced by its value, to
+    the next level.  Three pruning devices run on top of the exact
+    dependency forcing:
 
-    * the amount a line still needs must stay between the smallest and
-      largest sums reachable with its number of open cells in distinct
-      values, and a line with one open cell needs a value not yet used;
-    * each dependent cell firing at a level is (base + m*v)/den in the
-      level's trial value v, so before scanning candidates the v-window
-      keeping every dependent inside 1..n^2 is intersected, and for
-      den=2 the scan steps only over the parity of v that divides.
+    * what a line still needs must stay between the least and greatest
+      sums of its open cells in distinct values (the plan's per-level
+      bounds), and a line with one open cell needs a value not yet used;
+    * each dependent firing at a level is (base + m*v)/den in the level's
+      trial value v, so the v-window keeping every dependent inside 1..n^2
+      is intersected before the scan, and for den=2 only the parity of v
+      that divides is kept;
+    * a unit dependent (den 1, m = +-1) lands on base + v or base - v, so
+      the v whose dependent would repeat a used value or v itself are
+      dropped from the level's candidate mask as shifts of used or rused.
 
-    The candidate scan is ascending, so the emission order is the plain
-    lexicographic order of trial assignments.
+    The candidate mask is scanned lowest bit first, so the emission order
+    is the plain lexicographic order of trial assignments.
 
     Every cell has a floor its value must exceed, 0 unless `least`.  With
     `least`, entering levels 1 and 2 sets the floors of _orbit_floors to
@@ -276,27 +313,21 @@ def _iter_generic(
     """
     plan = _plan(n)
     n2 = n * n
-    mu = magic_constant(n)
+    mirror = n2 + 1
     trials = plan.trials
+    tlines_of = plan.tlines
     forced = plan.forced
-    lines_of = plan.lines_of
-    min_fill = plan.min_fill
-    max_fill = plan.max_fill
+    carry = plan.carry
     last = len(trials) - 1
     plen = len(prefix)
+    parity_mask = plan.parity
 
     grid = [0] * n2
-    rem0 = list(plan.line_sizes)
-    acc0 = [0] * len(rem0)
-    used0 = 0
+    used0 = rused0 = 0
     for cell, v in plan.constants:
-        if not 1 <= v <= n2 or used0 >> v & 1:
-            return
         grid[cell] = v
         used0 |= 1 << v
-        for line in lines_of[cell]:
-            rem0[line] -= 1
-            acc0[line] += v
+        rused0 |= 1 << mirror - v
 
     floor = [0] * n2
     floors_from: list[tuple[int, ...]] = [()] * (last + 2)
@@ -304,26 +335,24 @@ def _iter_generic(
         floors_from[1], floors_from[2] = _orbit_floors(n)
     tvals = [0] * (last + 1)
 
-    def place(level: int, used: int, rem: list[int], acc: list[int]):
+    def place(level: int, used: int, rused: int, need: list[int], bases: Sequence[int]):
         for cell in floors_from[level]:
             floor[cell] = tvals[level - 1]
         tcell = trials[level]
-        tlines = lines_of[tcell]
+        tlines = tlines_of[level]
         lo, hi = floor[tcell] + 1, n2
-        for line in tlines:
-            r = rem[line] - 1
-            base = mu - acc[line]
-            b = base - min_fill[r]
+        for line, low, high in tlines:
+            b = need[line] - low
             if b < hi:
                 hi = b
-            b = base - max_fill[r]
+            b = need[line] - high
             if b > lo:
                 lo = b
         deps = []
         parity = -1
-        for fcell, den, base, terms, m, flines in forced[level]:
-            for tpos, num in terms:
-                base += num * tvals[tpos]
+        bad = used
+        advance = carry[level]
+        for (fcell, den, m, flines), base in zip(forced[level], bases[len(advance) :]):
             # The dependent's scaled value must reach den * (floor + 1).
             low = den * (floor[fcell] + 1)
             if m > 0:
@@ -345,47 +374,43 @@ def _iter_generic(
                         return
                 elif base & 1:
                     return
+            elif m == 1:
+                if not base:
+                    return
+                bad |= used >> base if base > 0 else used << -base
+            elif m == -1:
+                if not base & 1:
+                    bad |= 1 << (base >> 1)
+                shift = mirror - base
+                bad |= rused >> shift if shift > 0 else rused << -shift
             deps.append((fcell, den, base, m, flines))
-        step = 1
+        if lo > hi:
+            return
+        cand = ((2 << hi) - (1 << lo)) & ~bad
+        if parity >= 0:
+            cand &= parity_mask[parity]
         if level < plen:
-            pv = prefix[level]
-            if not (lo <= pv <= hi and (parity < 0 or pv & 1 == parity)):
-                return
-            lo = hi = pv
-        elif parity >= 0:
-            if lo & 1 != parity:
-                lo += 1
-            step = 2
+            cand &= 1 << prefix[level]
 
-        for v in range(lo, hi + 1, step):
-            if used >> v & 1:
-                continue
-            u = used | 1 << v
-            r = rem.copy()
-            a = acc.copy()
-            for line in tlines:
-                r[line] -= 1
-                a[line] += v
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            v = bit.bit_length() - 1
+            u = used | bit
+            a = need.copy()
+            for line, _, _ in tlines:
+                a[line] -= v
             for fcell, den, base, m, flines in deps:
-                val = base + m * v
-                if den != 1:
-                    if val % den:
-                        break
-                    val //= den
-                if val < 1 or val > n2 or u >> val & 1:
+                # The window keeps the value in 1..n^2 and the parity mask
+                # makes den divide it.
+                val = (base + m * v) // den
+                if u >> val & 1:
                     break
                 u |= 1 << val
-                for line in flines:
-                    k = r[line] - 1
-                    s = a[line] + val
-                    r[line] = k
-                    a[line] = s
-                    need = mu - s
-                    # For a line with one open cell the exact needed value
-                    # must still be unused.
-                    if need < min_fill[k] or need > max_fill[k] or (
-                        k == 1 and u >> need & 1
-                    ):
+                for line, low, high, one_open in flines:
+                    rest = a[line] - val
+                    a[line] = rest
+                    if rest < low or rest > high or (one_open and u >> rest & 1):
                         break
                 else:
                     grid[fcell] = val
@@ -397,9 +422,14 @@ def _iter_generic(
                 if level == last:
                     yield tuple(grid)
                 else:
-                    yield from place(level + 1, u, r, a)
+                    ru = rused | 1 << mirror - v
+                    for dep in deps:
+                        ru |= 1 << mirror - grid[dep[0]]
+                    yield from place(
+                        level + 1, u, ru, a, [b + c * v for b, c in zip(bases, advance)]
+                    )
 
-    yield from place(0, used0, rem0, acc0)
+    yield from place(0, used0, rused0, list(plan.need0), plan.bases0)
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -90,8 +90,9 @@ def attach_orbits(
     orbit_of = {m.cells: oid for oid, orb in enumerate(orbits) for m in orb.members}
     generators = {orb.generator.cells for orb in orbits}
     return [
-        replace(
-            r, orbit_id=orbit_of[r.square.cells], is_generator=r.square.cells in generators
+        CatalogRecord(
+            r.line, r.square, r.dudeney, r.trigg, r.vi_split, r.broken_diagonals,
+            orbit_of[r.square.cells], r.square.cells in generators,
         )
         for r in records
     ]

@@ -103,6 +103,22 @@ def test_census_encodes_each_square_once(catalog4, monkeypatch):
     assert set(calls.values()) == {1}
 
 
+def test_census_signs_each_dihedral_orbit_once(catalog4, monkeypatch):
+    # A signature is a minimum over the 8 grid symmetries, so one call per
+    # dihedral orbit labels every image in it.
+    calls = Counter()
+
+    def counting(sq):
+        calls[sq.cells] += 1
+        return signature(sq)
+
+    monkeypatch.setattr(classifier, "signature", counting)
+    census = DudeneyCensus.from_catalog(catalog4)
+    assert len(calls) == 7040 // 8
+    assert set(calls.values()) == {1}
+    assert all(signature(sq) == c.signature for c in census.classes for sq in c.members)
+
+
 def test_incomplete_catalog_rejected(catalog4):
     with pytest.raises(ValueError, match="incomplete catalog"):
         discover_classes(catalog4[:100])

@@ -17,7 +17,7 @@ from itertools import islice, permutations
 import pytest
 
 from magicgen.constraints import build_system
-from magicgen.enumerator import Shard, count_squares, iter_squares, trial_cells
+from magicgen.enumerator import Shard, count_squares, iter_squares, shard_for, trial_cells
 from magicgen.squares import _is_magic_grid, encode_square
 
 # sha256 of the first 40 encodings of Shard((13,)), one per line, as the
@@ -28,6 +28,10 @@ SHARD13_HEAD_SHA256 = "35cfc3b695692fd18c550e437185d898a771bd19d0deeac4938535f0a
 # the last trial level completes two ways, so the last level's scan order
 # shows in the emission order (order-4 nodes there complete at most once).
 TWO_WAY_PREFIX = (2, 1, 13, 24, 4, 19, 21, 7, 20, 23, 9, 22)
+
+# sha256 of repr(cells) of every square emitted, in order, by the 1,000
+# depth-8 order-5 prefixes of random.Random(16); 57 squares in all.
+DEPTH8_PIN_SHA256 = "f3635b1f322cf24b30ba50d5b4208827ad1a74e1875d5bc4c02a917f6f5bf80b"
 
 
 def brute_force_completions(n: int, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -64,6 +68,22 @@ def shard13_head():
 def test_shard13_emission_order_pinned(shard13_head):
     text = "".join(encode_square(sq) + "\n" for sq in shard13_head)
     assert hashlib.sha256(text.encode()).hexdigest() == SHARD13_HEAD_SHA256
+
+
+def test_depth8_order5_emission_pinned():
+    # Many small subtrees in the benchmark's shape: every level of the
+    # engine below the prefix runs, on 1,000 different line states.
+    rng = random.Random(16)
+    cells = trial_cells(5)[:8]
+    digest = hashlib.sha256()
+    emitted = 0
+    for _ in range(1000):
+        shard = shard_for(5, cells, rng.sample(range(1, 26), 8))
+        for sq in iter_squares(5, shard):
+            digest.update(repr(sq.cells).encode())
+            emitted += 1
+    assert emitted == 57
+    assert digest.hexdigest() == DEPTH8_PIN_SHA256
 
 
 def test_order4_shards_equal_brute_force(catalog4):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import islice, permutations
 from operator import itemgetter
 
@@ -14,6 +15,7 @@ from magicgen.enumerator import (
     _line_group,
     _order4_by_orbits,
     _orbit_floors,
+    _plan,
     count_squares,
     enumerate_shards_parallel,
     iter_squares,
@@ -21,7 +23,7 @@ from magicgen.enumerator import (
     single_cell_shards,
     trial_cells,
 )
-from magicgen.squares import _is_magic_grid, is_normal_magic
+from magicgen.squares import _is_magic_grid, _tables, is_normal_magic
 
 
 def test_trial_order_matches_design():
@@ -29,6 +31,60 @@ def test_trial_order_matches_design():
     # a, b, c (forces d), e, i (forces m and p), f (forces k), g (rest).
     assert trial_cells(4) == (0, 1, 2, 4, 8, 5, 6)
     assert trial_cells(5)[:8] == (0, 1, 2, 3, 5, 6, 7, 8)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_plan_line_bounds_match_a_recount(n):
+    # Constants are placed first, then per level the trial cell and the
+    # dependents it completes, in the plan's order; a line's bounds are the
+    # least and greatest sums of its cells still open after each cell.
+    plan = _plan(n)
+    system = build_system(n)
+    lines = _tables(n).magic_lines
+    n2 = n * n
+    pos = {cell: i for i, cell in enumerate(plan.trials)}
+    placed = {cell for cell, _ in plan.constants}
+    assert placed == {dep.cell for dep in system.dependencies if not dep.terms}
+
+    def recount(cell: int) -> list[tuple[int, int, int, bool]]:
+        placed.add(cell)
+        bounds = []
+        for lid, line in enumerate(lines):
+            if cell in line:
+                r = sum(c not in placed for c in line)
+                bounds.append((lid, r * (r + 1) // 2, r * (2 * n2 + 1 - r) // 2, r == 1))
+        return bounds
+
+    for level, tcell in enumerate(plan.trials):
+        assert plan.tlines[level] == tuple(line[:3] for line in recount(tcell))
+        fired = {
+            dep.cell
+            for dep in system.dependencies
+            if dep.terms and max(pos[c] for c, _ in dep.terms) == level
+        }
+        assert {dep[0] for dep in plan.forced[level]} == fired
+        for cell, _, _, flines in plan.forced[level]:
+            assert flines == tuple(recount(cell))
+    assert len(placed) == n2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_carried_bases_equal_the_dependency_forms(n):
+    # Level L's bases plus carry[L] times trial L's value are level L+1's;
+    # each dependent's base must be its form summed over the earlier trials.
+    plan = _plan(n)
+    forms = {dep.cell: dep.integer_form() for dep in build_system(n).dependencies}
+    values = dict(zip(plan.trials, random.Random(n).sample(range(1, n * n + 1), n * n)))
+    bases = list(plan.bases0)
+    for level, tcell in enumerate(plan.trials):
+        advance = plan.carry[level]
+        assert len(bases) - len(advance) == len(plan.forced[level])
+        for (cell, den, m, _), base in zip(plan.forced[level], bases[len(advance) :]):
+            form_den, cnum, terms = forms[cell]
+            assert (den, m) == (form_den, dict(terms)[tcell])
+            assert base == cnum + sum(num * values[c] for c, num in terms if c != tcell)
+        bases = [b + c * values[tcell] for b, c in zip(bases, advance)]
+    assert bases == []
 
 
 def test_order3_matches_brute_force_oracle():
