@@ -18,7 +18,9 @@ byte for byte.
 The search is one recursive scan per trial level.  The fixed placement
 order fixes how many cells of each line are open at every step, so the
 bounds on what a line still needs are constants of a per-order plan,
-built once.  A level's candidates are one bitmask: the value window, less
+built once.  A dependent's line with one open cell left needs a value
+not yet used, and one with two open cells the sum of two distinct values
+not yet used.  A level's candidates are one bitmask: the value window, less
 the used values and the values whose unit dependents would repeat one.
 Each dependent's base is carried from level to level, and a candidate
 works on a copy of the line needs: a failed candidate drops it, an
@@ -109,11 +111,12 @@ class _Plan:
     # tlines[level]: the lines of trial `level`.
     tlines: tuple[tuple[tuple[int, int, int], ...], ...]
     # forced[level]: dependents completed by trial `level`, as
-    # (cell, den, m, ((line, low, high, one_open), ...)); the scaled value
-    # is base + m * trial_value, divided by den (1 or 2).  A line with one
-    # open cell left (one_open) needs a value not yet used.
+    # (cell, den, m, ((line, low, high, r), ...)); the scaled value is
+    # base + m * trial_value, divided by den (1 or 2).  r is the number of
+    # the line's cells still open: with r == 1 the line needs a value not
+    # yet used, with r == 2 the sum of two distinct values not yet used.
     forced: tuple[
-        tuple[tuple[int, int, int, tuple[tuple[int, int, int, bool], ...]], ...], ...
+        tuple[tuple[int, int, int, tuple[tuple[int, int, int, int], ...]], ...], ...
     ]
     # Dependent bases, carried down the levels: the bases at level L list
     # the dependents of levels >= L, deepest level first, so level L's own
@@ -139,14 +142,14 @@ def _plan(n: int) -> _Plan:
     open_cells = [len(line) for line in lines]
     need0 = [magic_constant(n)] * len(lines)
 
-    def close(cell: int) -> tuple[tuple[int, int, int, bool], ...]:
-        """Place `cell`: (line, low, high, one_open) for each of its lines."""
+    def close(cell: int) -> tuple[tuple[int, int, int, int], ...]:
+        """Place `cell`: (line, low, high, r) for each of its lines."""
         bounds = []
         for line, cells in enumerate(lines):
             if cell in cells:
                 open_cells[line] -= 1
                 r = open_cells[line]
-                bounds.append((line, r * (r + 1) // 2, r * (2 * n2 + 1 - r) // 2, r == 1))
+                bounds.append((line, r * (r + 1) // 2, r * (2 * n2 + 1 - r) // 2, r))
         return tuple(bounds)
 
     constants: list[tuple[int, int]] = []
@@ -293,7 +296,10 @@ def _iter_generic(
 
     * what a line still needs must stay between the least and greatest
       sums of its open cells in distinct values (the plan's per-level
-      bounds), and a line with one open cell needs a value not yet used;
+      bounds); a dependent's line with one open cell left needs a value
+      not yet used, and one with two open cells the sum of two distinct
+      ones, found as a shift of `rused` (advanced per candidate and per
+      placed dependent);
     * each dependent firing at a level is (base + m*v)/den in the level's
       trial value v, so the v-window keeping every dependent inside 1..n^2
       is intersected before the scan, and for den=2 only the parity of v
@@ -314,6 +320,7 @@ def _iter_generic(
     plan = _plan(n)
     n2 = n * n
     mirror = n2 + 1
+    full = (2 << n2) - 2
     trials = plan.trials
     tlines_of = plan.tlines
     forced = plan.forced
@@ -397,6 +404,7 @@ def _iter_generic(
             cand ^= bit
             v = bit.bit_length() - 1
             u = used | bit
+            ru = rused | 1 << mirror - v
             a = need.copy()
             for line, _, _ in tlines:
                 a[line] -= v
@@ -407,11 +415,19 @@ def _iter_generic(
                 if u >> val & 1:
                     break
                 u |= 1 << val
-                for line, low, high, one_open in flines:
+                ru |= 1 << mirror - val
+                for line, low, high, r in flines:
                     rest = a[line] - val
                     a[line] = rest
-                    if rest < low or rest > high or (one_open and u >> rest & 1):
+                    if rest < low or rest > high or (r == 1 and u >> rest & 1):
                         break
+                    if r == 2:
+                        # Some x > rest/2 with x and rest - x both unused.
+                        s = mirror - rest
+                        rfree = full ^ ru
+                        pairs = (full ^ u) & (rfree >> s if s > 0 else rfree << -s)
+                        if not pairs >> (rest >> 1) + 1:
+                            break
                 else:
                     grid[fcell] = val
                     continue
@@ -422,9 +438,6 @@ def _iter_generic(
                 if level == last:
                     yield tuple(grid)
                 else:
-                    ru = rused | 1 << mirror - v
-                    for dep in deps:
-                        ru |= 1 << mirror - grid[dep[0]]
                     yield from place(
                         level + 1, u, ru, a, [b + c * v for b, c in zip(bases, advance)]
                     )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import islice, permutations
 from operator import itemgetter
@@ -37,7 +38,8 @@ def test_trial_order_matches_design():
 def test_plan_line_bounds_match_a_recount(n):
     # Constants are placed first, then per level the trial cell and the
     # dependents it completes, in the plan's order; a line's bounds are the
-    # least and greatest sums of its cells still open after each cell.
+    # least and greatest sums of its cells still open after each cell, and a
+    # dependent's line also stores how many of its cells are still open.
     plan = _plan(n)
     system = build_system(n)
     lines = _tables(n).magic_lines
@@ -46,13 +48,13 @@ def test_plan_line_bounds_match_a_recount(n):
     placed = {cell for cell, _ in plan.constants}
     assert placed == {dep.cell for dep in system.dependencies if not dep.terms}
 
-    def recount(cell: int) -> list[tuple[int, int, int, bool]]:
+    def recount(cell: int) -> list[tuple[int, int, int, int]]:
         placed.add(cell)
         bounds = []
         for lid, line in enumerate(lines):
             if cell in line:
                 r = sum(c not in placed for c in line)
-                bounds.append((lid, r * (r + 1) // 2, r * (2 * n2 + 1 - r) // 2, r == 1))
+                bounds.append((lid, r * (r + 1) // 2, r * (2 * n2 + 1 - r) // 2, r))
         return bounds
 
     for level, tcell in enumerate(plan.trials):
@@ -85,6 +87,35 @@ def test_carried_bases_equal_the_dependency_forms(n):
             assert base == cnum + sum(num * values[c] for c, num in terms if c != tcell)
         bases = [b + c * values[tcell] for b, c in zip(bases, advance)]
     assert bases == []
+
+
+# Search levels entered (calls of `place`) on the 1,000 depth-8 prefixes of
+# random.Random(16) that test_depth8_order5_emission_pinned searches:
+# 244,742 with the one-open-cell rule alone, 166,976 once a dependent's line
+# with two open cells must need two distinct unused values.
+DEPTH8_LEVELS_ENTERED = 166_976
+
+
+def test_depth8_order5_pruning_does_not_weaken(monkeypatch):
+    # Pruning is sound, so a weaker rule emits the same squares; only the
+    # work shows it.  Each call of `place` reads carry[level] once.
+    plan = _plan(5)
+    entered = 0
+
+    class Counted(tuple):
+        def __getitem__(self, level):
+            nonlocal entered
+            entered += 1
+            return tuple.__getitem__(self, level)
+
+    counted = dataclasses.replace(plan, carry=Counted(plan.carry))
+    monkeypatch.setattr(enumerator, "_plan", lambda n: counted)
+    rng = random.Random(16)
+    cells = trial_cells(5)[:8]
+    for _ in range(1000):
+        for _ in iter_squares(5, shard_for(5, cells, rng.sample(range(1, 26), 8))):
+            pass
+    assert entered <= DEPTH8_LEVELS_ENTERED
 
 
 def test_order3_matches_brute_force_oracle():
