@@ -5,7 +5,6 @@ from .squares import (
     Square,
     Transformation,
     broken_diagonal_sums,
-    determinant,
     encode_square,
     grid_symmetries,
     identity_transformation,
@@ -17,7 +16,6 @@ from .constraints import (
     ConstraintSystem,
     Dependency,
     build_system,
-    dependent_cells_order4,
 )
 from .enumerator import (
     Shard,
@@ -36,7 +34,6 @@ from .classifier import (
     assign_labels,
     count_magic_broken_diagonals,
     discover_classes,
-    is_pandiagonal,
     signature,
 )
 from .groups import (
@@ -51,11 +48,9 @@ from .generators import (
     Discrepancy,
     GeneratorCensus,
     OrbitPartition,
-    PartitionVerdict,
     census,
     decompose,
     symmetric_closure_partition,
-    verify_partition,
 )
 from .pipeline import PipelineSummary, emit_report, run_pipeline
 
@@ -71,7 +66,6 @@ __all__ = [
     "GroupClosureError",
     "Orbit",
     "OrbitPartition",
-    "PartitionVerdict",
     "PipelineSummary",
     "Shard",
     "SignatureClass",
@@ -86,8 +80,6 @@ __all__ = [
     "count_magic_broken_diagonals",
     "count_squares",
     "decompose",
-    "dependent_cells_order4",
-    "determinant",
     "discover_classes",
     "emit_report",
     "encode_square",
@@ -95,7 +87,6 @@ __all__ = [
     "grid_symmetries",
     "identity_transformation",
     "is_normal_magic",
-    "is_pandiagonal",
     "iter_squares",
     "magic_constant",
     "parse_square",
@@ -106,7 +97,6 @@ __all__ = [
     "symmetric_closure_partition",
     "symmetry_group",
     "trial_cells",
-    "verify_partition",
 ]
 
 __version__ = "0.1.0"

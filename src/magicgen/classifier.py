@@ -25,7 +25,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .constraints import build_system, dependent_cells_order4
+from .constraints import build_system
 from .squares import (
     Square,
     broken_diagonal_sums,
@@ -88,10 +88,6 @@ def count_magic_broken_diagonals(square: Square) -> int:
     """How many of the square's broken diagonals sum to the magic constant."""
     mu = magic_constant(square.order)
     return sum(1 for s in broken_diagonal_sums(square) if s == mu)
-
-
-def is_pandiagonal(square: Square) -> bool:
-    return count_magic_broken_diagonals(square) == 2 * (square.order - 1)
 
 
 @dataclass(frozen=True)
@@ -183,9 +179,6 @@ class DudeneyCensus:
     ) -> None:
         self.classes = classes
         self.labels = labels
-        self.class_by_numeral = {
-            labels[c.signature].dudeney: c for c in classes
-        }
 
     @classmethod
     def from_catalog(cls, catalog: Iterable[Square]) -> "DudeneyCensus":
@@ -201,9 +194,6 @@ class DudeneyCensus:
             raise ValueError(f"square {encode_square(square)} is not normal magic")
         label = self.labels[signature(square)]
         return with_vi_split(label, count_magic_broken_diagonals(square))
-
-    def population(self, numeral: str) -> int:
-        return self.class_by_numeral[numeral].population
 
     def trigg_members(self, letter: str) -> tuple[Square, ...]:
         members: list[Square] = []
@@ -278,10 +268,8 @@ class FastClassifier:
         normal magic square is rejected; the full signature path runs only
         when the partial scan is ambiguous.
         """
-        if len(basis) != 7:
-            raise ValueError(f"expected 7 basis values, got {len(basis)}")
         try:
-            square = Square(4, dependent_cells_order4(basis))
+            square = Square(4, build_system(4).solve(basis))
         except ValueError as exc:
             raise ValueError(f"basis does not define a magic square: {exc}") from None
         label = self._table.get(self._basis_key(basis))

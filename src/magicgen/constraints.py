@@ -11,9 +11,9 @@ earliest ones in reading order; for order 4 this makes the basis the
 cells named a, b, c, e, f, g, i (indices 0, 1, 2, 4, 5, 6, 8).
 
 That solution is the only derivation of dependent cells: the search
-engine compiles it, and dependent_cells_order4 evaluates it for one
-order-4 basis.  Whether the resulting values form a normal square (range
-1..n^2, no repeats) is checked by Square, not here.
+engine compiles it, and ConstraintSystem.solve evaluates it for one
+basis.  Whether the resulting values form a normal square (range 1..n^2,
+no repeats) is checked by Square, not here.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .squares import _tables, magic_constant
@@ -47,12 +47,6 @@ class Dependency:
     cell: int
     const: Fraction
     terms: tuple[tuple[int, Fraction], ...]
-
-    def evaluate(self, values: dict[int, int]) -> Fraction:
-        total = self.const
-        for cell, coeff in self.terms:
-            total += coeff * values[cell]
-        return total
 
     def integer_form(self) -> tuple[int, int, tuple[tuple[int, int], ...]]:
         """Rescale to (denominator, const_numerator, ((cell, numerator), ...)).
@@ -95,18 +89,33 @@ class ConstraintSystem:
     free_cells: tuple[int, ...]
     dependencies: tuple[Dependency, ...]
 
-    def solve(self, basis: Sequence[int]) -> tuple[Fraction, ...]:
-        """Full grid from free-cell values, dependent cells by substitution."""
+    @cached_property
+    def _forms(self) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]:
+        # (cell, denominator, const numerator, terms) per dependency, made on
+        # the first solve so that build_system, which every run pays, does
+        # no more work.
+        return tuple((dep.cell, *dep.integer_form()) for dep in self.dependencies)
+
+    def solve(self, basis: Sequence[int]) -> tuple[int, ...]:
+        """Full grid from free-cell values, dependent cells by substitution.
+
+        Each dependency is evaluated exactly in its integer_form.  A
+        dependent cell that is not an integer (order 5 has dependents over
+        2) is a ValueError; values outside 1..n^2 or repeated are left to
+        Square.
+        """
         if len(basis) != len(self.free_cells):
             raise ValueError(
                 f"expected {len(self.free_cells)} basis values, got {len(basis)}"
             )
-        values = dict(zip(self.free_cells, basis))
-        grid: list[Fraction] = [Fraction(0)] * (self.order * self.order)
-        for cell, v in values.items():
-            grid[cell] = Fraction(v)
-        for dep in self.dependencies:
-            grid[dep.cell] = dep.evaluate(values)
+        grid = [0] * (self.order * self.order)
+        for cell, v in zip(self.free_cells, basis):
+            grid[cell] = v
+        for cell, den, const, terms in self._forms:
+            num = const + sum(k * grid[c] for c, k in terms)
+            if num % den:
+                raise ValueError(f"cell {cell} is {num}/{den}, not an integer")
+            grid[cell] = num // den
         return tuple(grid)
 
 
@@ -164,30 +173,3 @@ def build_system(n: int) -> ConstraintSystem:
         dependencies=tuple(deps),
     )
 
-
-@lru_cache(maxsize=None)
-def _order4_forms() -> tuple[tuple[int, ...], tuple]:
-    system = build_system(4)
-    return system.free_cells, tuple(
-        (dep.cell,) + dep.integer_form() for dep in system.dependencies
-    )
-
-
-def dependent_cells_order4(basis: Sequence[int]) -> tuple[int, ...]:
-    """Full 16-cell grid from the order-4 basis (a, b, c, e, f, g, i).
-
-    Evaluates the exactly solved system of build_system(4), built once per
-    process.  Every order-4 dependency has integer coefficients (its
-    integer_form denominator is 1), so an integer basis gives an integer
-    grid that satisfies every line sum; its values may still fall outside
-    1..16 or collide, which Square(4, grid) rejects.
-    """
-    if len(basis) != 7:
-        raise ValueError(f"expected 7 basis values, got {len(basis)}")
-    free_cells, forms = _order4_forms()
-    grid = [0] * 16
-    for cell, v in zip(free_cells, basis):
-        grid[cell] = v
-    for cell, den, const, terms in forms:
-        grid[cell] = (const + sum(num * grid[c] for c, num in terms)) // den
-    return tuple(grid)

@@ -19,9 +19,9 @@ square is its generator.  They differ only in the label:
   census() checks that no such class spans two Trigg classes: the
   generators' keys must be distinct across all four.
 
-Both are OrbitPartitions that pass verify_partition, which checks every
-generator pair for symmetry: the closure view's generators are pairwise
-non-symmetric even under the full universe.
+Both are OrbitPartitions: disjoint orbits covering the subject, each led
+by its encoding minimum.  The closure view's generators are pairwise
+non-symmetric even under the full universe of triples.
 
 class_census() computes both for one class of squares: census() runs it
 on each Trigg class, and the pipeline on the whole order-3 catalog.  Both
@@ -38,7 +38,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from .classifier import DudeneyCensus
 from .groups import Orbit, TransformationGroup, canonical_key, symmetry_group
-from .squares import Square, Transformation, encode_square, grid_symmetries
+from .squares import Square, encode_square, grid_symmetries
 
 # Published census targets: orbit-size histogram under symmetric closure
 # per class letter (the four order-4 Trigg classes, and "order3", the
@@ -57,7 +57,6 @@ class OrbitPartition:
     """Disjoint orbits covering a subject set, one generator per orbit."""
 
     subject_name: str
-    method: str  # "group" or "closure"
     orbits: tuple[Orbit, ...]
 
     @property
@@ -75,7 +74,6 @@ class OrbitPartition:
 def _grouped(
     subject: Iterable[Square],
     label: Callable[[Square], Hashable],
-    method: str,
     subject_name: str,
 ) -> OrbitPartition:
     """The subject's squares grouped by label, one orbit per label.
@@ -94,7 +92,7 @@ def _grouped(
     if not parts:
         raise ValueError("subject is empty")
     orbits = (Orbit(frozenset(members), members[0]) for members in parts.values())
-    return OrbitPartition(subject_name, method, tuple(orbits))
+    return OrbitPartition(subject_name, tuple(orbits))
 
 
 def decompose(
@@ -121,7 +119,7 @@ def decompose(
             label_of.update(dict.fromkeys(images, src))
         return label_of[src]
 
-    partition = _grouped(subject, label, "group", subject_name)
+    partition = _grouped(subject, label, subject_name)
     if partition.total != len(group.subject):
         raise ValueError(
             f"subject has {partition.total} squares, "
@@ -156,75 +154,7 @@ def symmetric_closure_partition(
             key_of.update((image(sq.cells), key) for image in images[n])
         return key
 
-    return _grouped(subject, label, "closure", subject_name)
-
-
-@dataclass(frozen=True)
-class PartitionVerdict:
-    ok: bool
-    problems: tuple[str, ...] = ()
-
-
-def verify_partition(
-    partition: OrbitPartition,
-    subject: Iterable[Square],
-    transformations: Sequence[Transformation] | None = None,
-) -> PartitionVerdict:
-    """Independently re-check a partition.
-
-    Verifies disjointness, exact coverage of the subject, that each
-    generator is its orbit's encoding minimum, and that no two generators
-    are symmetric under `transformations`.  Every generator pair is
-    checked: by distinct canonical keys for the full candidate universe
-    (when `transformations` is omitted), otherwise by mapping each
-    generator through every given triple.  Returns a verdict instead of
-    raising.
-    """
-    problems: list[str] = []
-    subject_cells = {sq.cells for sq in subject}
-    seen: set[tuple[int, ...]] = set()
-    dup = 0
-    for orb in partition.orbits:
-        for m in orb.members:
-            if m.cells in seen:
-                dup += 1
-            seen.add(m.cells)
-    if dup:
-        problems.append(f"{dup} squares appear in more than one orbit")
-    if seen != subject_cells:
-        missing = len(subject_cells - seen)
-        extra = len(seen - subject_cells)
-        problems.append(f"coverage mismatch: {missing} missing, {extra} extra")
-    for orb in partition.orbits:
-        lo = min(encode_square(m) for m in orb.members)
-        if encode_square(orb.generator) != lo:
-            problems.append(
-                f"generator {encode_square(orb.generator)} is not its orbit minimum"
-            )
-            break
-
-    gens = partition.generators()
-    clash = None
-    if transformations is None:
-        first: dict[str, int] = {}
-        for j, g in enumerate(gens):
-            i = first.setdefault(canonical_key(g), j)
-            if i != j:
-                clash = (i, j)
-                break
-    else:
-        maps = [t.cell_map() for t in transformations]
-        index = {g.cells: j for j, g in enumerate(gens)}
-        for i, g in enumerate(gens):
-            src = g.cells
-            hits = {index.get(tuple(src[k] for k in cmap), i) for cmap in maps} - {i}
-            if hits:
-                clash = (i, min(hits))
-                break
-    if clash is not None:
-        i, j = clash
-        problems.append(f"generators {i} and {j} are symmetric to each other")
-    return PartitionVerdict(not problems, tuple(problems))
+    return _grouped(subject, label, subject_name)
 
 
 @dataclass(frozen=True)
@@ -283,11 +213,6 @@ class GeneratorCensus:
     def total_generators(self) -> int:
         return sum(len(c.closure_partition.orbits) for c in self.classes)
 
-    def by_letter(self, letter: str) -> ClassCensus:
-        for c in self.classes:
-            if c.letter == letter:
-                return c
-        raise KeyError(letter)
 
 
 def class_census(letter: str, members: Sequence[Square], name: str) -> ClassCensus:

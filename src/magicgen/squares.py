@@ -64,18 +64,21 @@ class Square:
         if n < 3:
             raise ValueError(f"square order must be >= 3, got {n}")
         n2 = n * n
-        if len(self.cells) != n2:
-            raise ValueError(
-                f"expected {n2} cells for order {n}, got {len(self.cells)}"
-            )
-        # A permutation of 1..n^2 held in exact ints, at an int order, passes
-        # here; anything else takes the per-cell loop, which names the
-        # offending cell.
-        exact = type(n) is int and set(map(type, self.cells)) == {int}
-        if exact and set(self.cells) == _tables(n).values:
+        cells = self.cells
+        if len(cells) != n2:
+            raise ValueError(f"expected {n2} cells for order {n}, got {len(cells)}")
+        # A permutation of 1..n^2 held in a tuple of exact ints, at an int
+        # order, passes here; anything else is refused below, by its order
+        # or container, or by the per-cell loop, which names the cell.
+        exact = type(n) is int and type(cells) is tuple and set(map(type, cells)) == {int}
+        if exact and set(cells) == _tables(n).values:
             return
+        if type(n) is not int:
+            raise ValueError(f"square order must be an int, got {n!r}")
+        if type(cells) is not tuple:
+            raise ValueError(f"cells must be a tuple, got {type(cells).__name__}")
         seen = 0
-        for idx, v in enumerate(self.cells):
+        for idx, v in enumerate(cells):
             if not 1 <= v <= n2:
                 raise ValueError(
                     f"cell {idx} holds {v}, outside the range 1..{n2}"
@@ -173,28 +176,6 @@ def broken_diagonal_sums(square: Square) -> tuple[int, ...]:
     """
     cells = square.cells
     return tuple([sum(line(cells)) for line in _tables(square.order).broken_getters])
-
-
-def determinant(square: Square) -> int:
-    """Exact integer determinant via fraction-free (Bareiss) elimination."""
-    n = square.order
-    m = [list(square.row(r)) for r in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------

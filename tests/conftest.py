@@ -9,7 +9,8 @@ import pytest
 from magicgen.classifier import DudeneyCensus
 from magicgen.enumerator import iter_squares
 from magicgen.generators import census as generator_census
-from magicgen.squares import Square
+from magicgen.groups import canonical_key
+from magicgen.squares import Square, encode_square
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 
@@ -41,6 +42,85 @@ def is_least(cells: tuple[int, ...], n: int) -> bool:
     return all(cells[0] < cells[c] for c in above_a00) and all(
         cells[1] < cells[c] for c in above_a01
     )
+
+
+def determinant(square: Square) -> int:
+    """Exact integer determinant via fraction-free (Bareiss) elimination."""
+    n = square.order
+    m = [list(square.row(r)) for r in range(n)]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def verify_partition(partition, subject, transformations=None) -> tuple[str, ...]:
+    """The problems an independent re-check finds in an OrbitPartition, () if none.
+
+    Checks disjointness, exact coverage of the subject, that each
+    generator is its orbit's encoding minimum, and that no two generators
+    are symmetric under `transformations`.  Every generator pair is
+    checked: by distinct canonical keys for the full candidate universe
+    (when `transformations` is omitted), otherwise by mapping each
+    generator through every given triple.
+    """
+    problems: list[str] = []
+    subject_cells = {sq.cells for sq in subject}
+    seen: set[tuple[int, ...]] = set()
+    dup = 0
+    for orb in partition.orbits:
+        for m in orb.members:
+            if m.cells in seen:
+                dup += 1
+            seen.add(m.cells)
+    if dup:
+        problems.append(f"{dup} squares appear in more than one orbit")
+    if seen != subject_cells:
+        missing = len(subject_cells - seen)
+        extra = len(seen - subject_cells)
+        problems.append(f"coverage mismatch: {missing} missing, {extra} extra")
+    for orb in partition.orbits:
+        lo = min(encode_square(m) for m in orb.members)
+        if encode_square(orb.generator) != lo:
+            problems.append(
+                f"generator {encode_square(orb.generator)} is not its orbit minimum"
+            )
+            break
+
+    gens = partition.generators()
+    clash = None
+    if transformations is None:
+        first: dict[str, int] = {}
+        for j, g in enumerate(gens):
+            i = first.setdefault(canonical_key(g), j)
+            if i != j:
+                clash = (i, j)
+                break
+    else:
+        maps = [t.cell_map() for t in transformations]
+        index = {g.cells: j for j, g in enumerate(gens)}
+        for i, g in enumerate(gens):
+            src = g.cells
+            hits = {index.get(tuple(src[k] for k in cmap), i) for cmap in maps} - {i}
+            if hits:
+                clash = (i, min(hits))
+                break
+    if clash is not None:
+        i, j = clash
+        problems.append(f"generators {i} and {j} are symmetric to each other")
+    return tuple(problems)
 
 
 def pytest_runtest_logreport(report):
@@ -86,3 +166,15 @@ def census4(catalog4) -> DudeneyCensus:
 @pytest.fixture(scope="session")
 def gencensus4(census4):
     return generator_census(census4)
+
+
+@pytest.fixture(scope="session")
+def by_numeral(census4):
+    """census4's signature classes keyed by Dudeney numeral."""
+    return {census4.labels[c.signature].dudeney: c for c in census4.classes}
+
+
+@pytest.fixture(scope="session")
+def by_letter(gencensus4):
+    """gencensus4's class censuses keyed by Trigg letter."""
+    return {c.letter: c for c in gencensus4.classes}

@@ -30,16 +30,17 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from conftest import determinant, verify_partition
 
 from magicgen.catalog import catalog_text
 from magicgen.classifier import (
     DUDENEY_POPULATIONS,
     TRIGG_POPULATIONS,
     FastClassifier,
-    is_pandiagonal,
+    count_magic_broken_diagonals,
     signature,
 )
-from magicgen.constraints import build_system, dependent_cells_order4
+from magicgen.constraints import build_system
 from magicgen.enumerator import (
     Shard,
     count_squares,
@@ -51,7 +52,6 @@ from magicgen.generators import (
     REFERENCE_HISTOGRAMS,
     decompose,
     symmetric_closure_partition,
-    verify_partition,
 )
 from magicgen.groups import symmetry_group
 from magicgen.squares import (
@@ -59,7 +59,6 @@ from magicgen.squares import (
     Transformation,
     _is_magic_grid,
     broken_diagonal_sums,
-    determinant,
     encode_square,
     grid_symmetries,
     is_normal_magic,
@@ -67,6 +66,7 @@ from magicgen.squares import (
 
 DURER_GRID = (16, 3, 2, 13, 5, 10, 11, 8, 9, 6, 7, 12, 4, 15, 14, 1)
 FREE_CELLS = build_system(4).free_cells
+PANDIAGONAL = 2 * (4 - 1)  # magic broken diagonals of a pandiagonal order-4 square
 
 
 def test_criterion_01_order3_enumeration_with_oracle():
@@ -158,7 +158,7 @@ def test_criterion_03_order5_basis_informative():
 
 
 def test_criterion_04_durer_round_trip():
-    assert dependent_cells_order4((16, 3, 2, 5, 10, 11, 9)) == DURER_GRID
+    assert build_system(4).solve((16, 3, 2, 5, 10, 11, 9)) == DURER_GRID
     print("[criterion 04] Durer basis reproduces the engraving square exactly")
 
 
@@ -175,7 +175,9 @@ def test_criterion_06_pandiagonal_characterization_as_published(catalog4, census
     # Durer square refutes it: it lies in a 384-class but is not pandiagonal.
     # What holds: the pandiagonal squares are exactly one 384-class, found
     # here by its members rather than by its numeral.
-    pandiagonal = frozenset(sq.cells for sq in catalog4 if is_pandiagonal(sq))
+    pandiagonal = frozenset(
+        sq.cells for sq in catalog4 if count_magic_broken_diagonals(sq) == PANDIAGONAL
+    )
     classes384 = [
         frozenset(sq.cells for sq in cls.members)
         for cls in census4.classes
@@ -203,7 +205,7 @@ def test_criterion_06_pandiagonal_characterization_as_published(catalog4, census
     durer = Square(4, DURER_GRID)
     assert broken_diagonal_sums(durer) == durer_broken
     assert DURER_GRID in union384
-    assert not is_pandiagonal(durer)
+    assert count_magic_broken_diagonals(durer) != PANDIAGONAL
     print(
         "[criterion 06c] pandiagonal squares = one 384-class of three (384 of "
         "1152); Durer is in a 384-class with broken diagonals 30..22, not pandiagonal"
@@ -211,7 +213,9 @@ def test_criterion_06_pandiagonal_characterization_as_published(catalog4, census
 
 
 def test_criterion_06_pandiagonal_characterization_informative(catalog4, census4):
-    pandiagonal = {sq.cells for sq in catalog4 if is_pandiagonal(sq)}
+    pandiagonal = {
+        sq.cells for sq in catalog4 if count_magic_broken_diagonals(sq) == PANDIAGONAL
+    }
     assert len(pandiagonal) == 384
     hits = [
         cls
@@ -220,7 +224,8 @@ def test_criterion_06_pandiagonal_characterization_informative(catalog4, census4
     ]
     assert len(hits) == 1 and hits[0].population == 384
     durer = Square(4, DURER_GRID)
-    assert census4.label_of(durer).trigg == "A" and not is_pandiagonal(durer)
+    assert census4.label_of(durer).trigg == "A"
+    assert count_magic_broken_diagonals(durer) != PANDIAGONAL
     print(
         "[criterion 06b] pandiagonal squares = exactly one 384-class "
         "(384 squares); Durer (class III) is not pandiagonal"
@@ -250,8 +255,7 @@ def test_criterion_08_generator_census(census4, gencensus4):
 
     for cls in gencensus4.classes:
         members = census4.trigg_members(cls.letter)
-        verdict = verify_partition(cls.closure_partition, members)
-        assert verdict.ok, verdict.problems
+        assert verify_partition(cls.closure_partition, members) == ()
         assert cls.closure_partition.total == cls.population
 
     # Peeling-order independence, demonstrated on the smallest class.
@@ -301,7 +305,7 @@ def test_criterion_10_order5_sample():
     for sq in sample:
         assert is_normal_magic(sq)
         basis = [sq.cells[c] for c in system.free_cells]
-        assert tuple(int(v) for v in system.solve(basis)) == sq.cells
+        assert system.solve(basis) == sq.cells
     print(
         f"[criterion 10] 10000 order-5 shard squares in {elapsed:.0f}s: "
         f"all magic, all basis round-trips exact"

@@ -38,15 +38,16 @@ def brute_force_completions(n: int, prefix: tuple[int, ...]) -> list[tuple[int, 
     system = build_system(n)
     trials = trial_cells(n)
     n2 = n * n
-    rest = [v for v in range(1, n2 + 1) if v not in prefix]
+    full = set(range(1, n2 + 1))
+    rest = sorted(full - set(prefix))
     found = []
     for tail in permutations(rest, len(trials) - len(prefix)):
         values = dict(zip(trials, prefix + tail))
-        grid = system.solve([values[c] for c in system.free_cells])
-        if any(x.denominator != 1 or not 1 <= x <= n2 for x in grid):
+        try:
+            cells = system.solve([values[c] for c in system.free_cells])
+        except ValueError:  # a dependent cell that is not an integer
             continue
-        cells = tuple(int(x) for x in grid)
-        if len(set(cells)) == n2 and _is_magic_grid(cells, n):
+        if set(cells) == full and _is_magic_grid(cells, n):
             found.append(cells)
     found.sort(key=lambda cells: [cells[c] for c in trials])
     return found

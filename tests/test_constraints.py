@@ -5,11 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from magicgen.constraints import build_system, cell_name, dependent_cells_order4
+from magicgen.constraints import build_system, cell_name
 from magicgen.squares import Square, _tables, magic_constant
-
-DURER_BASIS = (16, 3, 2, 5, 10, 11, 9)
-DURER_GRID = (16, 3, 2, 13, 5, 10, 11, 8, 9, 6, 7, 12, 4, 15, 14, 1)
 
 # The nine order-4 closed forms, written out by hand as
 # {dependent cell: (constant, {free cell: coefficient})}.
@@ -76,13 +73,9 @@ def test_order4_dependency_formulas():
         assert {c: coeff for c, coeff in dep.terms} == coeffs, cell_name(dep.cell, 4)
 
 
-def test_durer_basis_reproduces_durer():
-    assert dependent_cells_order4(DURER_BASIS) == DURER_GRID
-
-
 def test_invalid_assignment_collides():
     # a=1, b=3, c=15 forces d = 34-1-3-15 = 15, duplicating c.
-    grid = dependent_cells_order4((1, 3, 15, 2, 4, 5, 6))
+    grid = build_system(4).solve((1, 3, 15, 2, 4, 5, 6))
     assert grid[3] == 15
     with pytest.raises(ValueError, match="cell 3 repeats the value 15"):
         Square(4, grid)
@@ -93,7 +86,7 @@ def test_all_line_sums_hold_even_for_invalid_values():
     mu = magic_constant(4)
     for _ in range(200):
         basis = tuple(rng.randint(-30, 60) for _ in range(7))
-        g = dependent_cells_order4(basis)
+        g = build_system(4).solve(basis)
         for r in range(4):
             assert sum(g[4 * r : 4 * r + 4]) == mu
         for c in range(4):
@@ -103,33 +96,35 @@ def test_all_line_sums_hold_even_for_invalid_values():
 
 
 def test_closed_forms_agree_with_eliminated_system():
-    # dependent_cells_order4 against the hand-written table, evaluated
-    # independently of the elimination.
+    # solve against the hand-written table, evaluated independently of the
+    # elimination.
     rng = random.Random(43)
     for _ in range(1000):
         basis = tuple(rng.randint(-50, 80) for _ in range(7))
         grid = dict(zip((0, 1, 2, 4, 5, 6, 8), basis))
         for cell, (const, coeffs) in ORDER4_FORMULAS.items():
             grid[cell] = const + sum(k * grid[c] for c, k in coeffs.items())
-        assert dependent_cells_order4(basis) == tuple(grid[i] for i in range(16))
+        assert build_system(4).solve(basis) == tuple(grid[i] for i in range(16))
 
 
 def test_solve_round_trips_enumerated_squares(catalog4):
-    s3 = build_system(3)
     from magicgen.enumerator import iter_squares
 
-    for sq in iter_squares(3):
-        basis = [sq.cells[c] for c in s3.free_cells]
-        assert tuple(int(v) for v in s3.solve(basis)) == sq.cells
+    for n, squares in ((3, iter_squares(3)), (4, catalog4)):
+        system = build_system(n)
+        for sq in squares:
+            assert system.solve([sq.cells[c] for c in system.free_cells]) == sq.cells
 
-    # All 7040 order-4 squares through dependent_cells_order4, a
-    # rational-solve spot check on a slice.
-    s4 = build_system(4)
-    for i, sq in enumerate(catalog4):
-        basis = tuple(sq.cells[c] for c in s4.free_cells)
-        assert dependent_cells_order4(basis) == sq.cells
-        if i % 500 == 0:
-            assert tuple(int(v) for v in s4.solve(basis)) == sq.cells
+
+def test_solve_rejects_a_wrong_length_or_a_non_integral_cell():
+    s5 = build_system(5)
+    with pytest.raises(ValueError, match="expected 14 basis values, got 13"):
+        s5.solve(range(1, 14))
+    # Some order-5 dependent is a sum over 2: an odd numerator is refused
+    # rather than rounded.
+    assert max(dep.integer_form()[0] for dep in s5.dependencies) == 2
+    with pytest.raises(ValueError, match=r"cell \d+ is -?\d+/2, not an integer"):
+        s5.solve([1] * 13 + [2])
 
 
 def test_order3_center_is_forced():

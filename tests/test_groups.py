@@ -161,8 +161,8 @@ class TestSymmetryGroup:
         pair_views = {c.letter: c.pair_view_order for c in gencensus4.classes}
         assert pair_views == {"A": 96, "B": 16, "C": 16, "D": 16}
 
-    def test_pair_view_members_qualify_both_ways(self, gencensus4):
-        cls = gencensus4.by_letter("A")
+    def test_pair_view_members_qualify_both_ways(self, by_letter):
+        cls = by_letter["A"]
         members = set(cls.group.members)
         for rp, cp in cls.group.pair_view():
             assert Transformation(rp, cp, False) in members
@@ -277,13 +277,13 @@ class TestAreSymmetric:
             assert canonical_key(image) == key
             assert any(t.apply(sq) == image for t in triples)
 
-    def test_transitive_within_closure_orbits(self, gencensus4):
+    def test_transitive_within_closure_orbits(self, by_letter):
         # All members of one reachability class share one key.
-        orb = gencensus4.by_letter("D").closure_partition.orbits[0]
+        orb = by_letter["D"].closure_partition.orbits[0]
         assert len({canonical_key(m) for m in orb.members}) == 1
 
-    def test_distinct_type_a_generators_not_symmetric(self, gencensus4):
-        gens = gencensus4.by_letter("A").closure_partition.generators()
+    def test_distinct_type_a_generators_not_symmetric(self, by_letter):
+        gens = by_letter["A"].closure_partition.generators()
         assert len(gens) == 3
         assert len({canonical_key(g) for g in gens}) == 3
 
@@ -302,8 +302,8 @@ class TestOrbit:
             for orb in partition.orbits:
                 assert len(group) % orb.size == 0
 
-    def test_orbit_is_stable_under_group_members(self, gencensus4):
-        cls = gencensus4.by_letter("D")
+    def test_orbit_is_stable_under_group_members(self, by_letter):
+        cls = by_letter["D"]
         orb = cls.group_partition.orbits[0]
         members = {m.cells for m in orb.members}
         for t in list(cls.group.members)[:8]:
@@ -325,9 +325,9 @@ class TestOrbit:
         with pytest.raises(ValueError, match="missing from the group"):
             decompose(all3[1:] + [bad], group3)
 
-    def test_type_a_group_orbits_have_size_192(self, gencensus4):
+    def test_type_a_group_orbits_have_size_192(self, by_letter):
         # The class group (order 192) acts freely on Trigg A: six orbits of
         # 192; fusing symmetric orbit pairs gives the published 3 x 384.
-        cls = gencensus4.by_letter("A")
+        cls = by_letter["A"]
         assert [o.size for o in cls.group_partition.orbits] == [192] * 6
         assert [o.size for o in cls.closure_partition.orbits] == [384] * 3

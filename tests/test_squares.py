@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import determinant
 
 from magicgen.squares import (
     Square,
@@ -11,7 +12,6 @@ from magicgen.squares import (
     _is_magic_grid,
     _tables,
     broken_diagonal_sums,
-    determinant,
     encode_square,
     grid_symmetries,
     identity_transformation,
@@ -91,8 +91,11 @@ class TestSquareValidation:
                 TypeError,
                 "unsupported operand type(s) for <<: 'int' and 'float'",
             ),
+            (4.0, tuple(range(1, 17)), ValueError, "square order must be an int, got 4.0"),
+            (3, [2, 7, 6, 9, 5, 1, 4, 3, 8], ValueError, "cells must be a tuple, got list"),
         ],
-        ids=["zero", "shifted-down", "shifted-up", "duplicate", "count", "order", "float"],
+        ids=["zero", "shifted-down", "shifted-up", "duplicate", "count", "order", "float",
+             "float-order", "list"],
     )
     def test_rejection_names_the_cell(self, n, cells, error, message):
         with pytest.raises(error) as info:
@@ -107,10 +110,9 @@ class TestSquareValidation:
         assert encode_square(sq) == "1 2 3 4 5 6 7 8 9"
 
     def test_acceptance_does_not_wait_for_the_tables(self, durer):
-        # The per-cell loop accepts an order of 4.0; it must do so before
-        # any order-4 table exists too.
+        # The fast path must build the order-4 table if none exists yet.
         _tables.cache_clear()
-        assert Square(4.0, durer.cells).cells == durer.cells
+        assert Square(4, durer.cells).cells == durer.cells
 
 
 def _lines_by_formula(n: int):
