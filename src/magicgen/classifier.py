@@ -53,8 +53,6 @@ TRIGG_POPULATIONS = {"A": 1152, "B": 3968, "C": 1792, "D": 128}
 VI_SPLIT_PLAIN = "VI'"
 VI_SPLIT_BROKEN = "VI''"
 
-_FREE_CELLS = build_system(4).free_cells
-
 
 @dataclass(frozen=True)
 class ClassLabel:
@@ -238,17 +236,18 @@ class FastClassifier:
     @classmethod
     def from_census(cls, census: DudeneyCensus) -> "FastClassifier":
         table: dict[FastKey, ClassLabel | None] = {}
+        basis_of = itemgetter(*build_system(4).free_cells)
         for sig_class in census.classes:
             label = census.labels[sig_class.signature]
             for sq in sig_class.members:
-                key = cls._basis_key([sq.cells[c] for c in _FREE_CELLS])
+                key = cls._basis_key(basis_of(sq.cells))
                 prior = table.get(key, label)
                 table[key] = label if prior == label else None
         return cls(census, table)
 
     @staticmethod
     def _basis_key(basis: Sequence[int]) -> FastKey:
-        where = {v: _FREE_CELLS[i] for i, v in enumerate(basis)}
+        where = dict(zip(basis, build_system(4).free_cells))
         pairs = []
         unpaired = []
         for v, pos in where.items():

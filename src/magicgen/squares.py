@@ -15,8 +15,8 @@ required.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, partial, reduce
+from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -36,6 +36,7 @@ class _Tables(NamedTuple):
     broken_getters: tuple[itemgetter, ...]
     values: frozenset[int]  # 1..n^2
     texts: tuple[str, ...]  # texts[v] == str(v) for 0 <= v <= n^2
+    ints: dict[str, int]  # ints[texts[v]] == v: the inverse of texts
 
 
 @lru_cache(maxsize=None)
@@ -49,7 +50,8 @@ def _tables(n: int) -> _Tables:
     getters = [tuple(itemgetter(*line) for line in lines) for lines in (magic, broken)]
     values = frozenset(range(1, n * n + 1))
     texts = tuple(map(str, range(n * n + 1)))
-    return _Tables(tuple(magic), tuple(broken), *getters, values, texts)
+    ints = {text: v for v, text in enumerate(texts)}
+    return _Tables(tuple(magic), tuple(broken), *getters, values, texts, ints)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,10 +69,15 @@ class Square:
         cells = self.cells
         if len(cells) != n2:
             raise ValueError(f"expected {n2} cells for order {n}, got {len(cells)}")
-        # A permutation of 1..n^2 held in a tuple of exact ints, at an int
-        # order, passes here; anything else is refused below, by its order
-        # or container, or by the per-cell loop, which names the cell.
-        exact = type(n) is int and type(cells) is tuple and set(map(type, cells)) == {int}
+        # A permutation of 1..n^2 held in a tuple, at an int order, passes
+        # here if its cells also sum to an exact int: one float, Fraction or
+        # Decimal cell makes the sum one too.  Anything else is refused
+        # below, by its order or container, or by the per-cell loop, which
+        # names the cell.
+        try:
+            exact = type(n) is int and type(cells) is tuple and type(sum(cells)) is int
+        except TypeError:  # a cell that does not add
+            exact = False
         if exact and set(cells) == _tables(n).values:
             return
         if type(n) is not int:
@@ -114,8 +121,11 @@ def encode_square(square: Square) -> str:
 def parse_square(line: str, order: int | None = None) -> Square:
     """Parse the canonical encoding back into a Square.
 
-    Rejects, with distinct messages: a token count that is not n^2,
-    non-integer tokens, out-of-range values, and duplicates.
+    Tokens are read through the order's value table; a line with a token
+    outside it (say "01" or "+5") is read by int() instead, so every
+    spelling int() takes is accepted.  Rejects, with distinct messages: a
+    token count that is not n^2, non-integer tokens, out-of-range values,
+    and duplicates.
     """
     tokens = line.split()
     if order is not None:
@@ -131,12 +141,24 @@ def parse_square(line: str, order: int | None = None) -> Square:
             raise ValueError(
                 f"token count {len(tokens)} is not the square of an order >= 3"
             )
-    try:
-        cells = tuple(map(int, tokens))
-    except ValueError:
-        bad = next(t for t in tokens if not _is_int(t))
-        raise ValueError(f"non-integer token {bad!r}") from None
+    cells = _table_cells(tokens, n)
+    if cells is None:
+        try:
+            cells = tuple(map(int, tokens))
+        except ValueError:
+            bad = next(t for t in tokens if not _is_int(t))
+            raise ValueError(f"non-integer token {bad!r}") from None
     return Square(n, cells)
+
+
+def _table_cells(tokens: list[str], n: int) -> tuple[int, ...] | None:
+    """n^2 tokens read through the order-n value table; None on a miss."""
+    if type(n) is int and n >= 3 and len(tokens) == n * n:
+        try:
+            return itemgetter(*tokens)(_tables(n).ints)
+        except KeyError:
+            pass
+    return None
 
 
 def _is_int(token: str) -> bool:
@@ -157,13 +179,28 @@ def is_normal_magic(square: Square) -> bool:
 
 
 def _is_magic_grid(cells, n: int) -> bool:
-    # Called by is_normal_magic and by the tests' brute-force oracles;
-    # assumes cells is a permutation.
+    # Called by is_normal_magic, by verify_catalog for the squares of a
+    # failing batch and by the tests' brute-force oracles; assumes cells
+    # is a permutation.
     mu = magic_constant(n)
     for line in _tables(n).magic_getters:
         if sum(line(cells)) != mu:
             return False
     return True
+
+
+def _all_magic(grids: list[tuple[int, ...]], n: int) -> bool:
+    """_is_magic_grid of every grid at once, one line at a time.
+
+    Each line is summed column-wise: the grids' cells at the line's first
+    index plus those at its second, and so on, all as C-level maps.
+    """
+    columns = list(zip(*grids))
+    mu = {magic_constant(n)}
+    add_columns = partial(map, add)
+    return all(
+        set(reduce(add_columns, line(columns))) == mu for line in _tables(n).magic_getters
+    )
 
 
 def broken_diagonal_sums(square: Square) -> tuple[int, ...]:

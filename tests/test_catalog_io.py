@@ -9,6 +9,7 @@ import pytest
 from magicgen import catalog
 from magicgen.catalog import (
     CatalogRecord,
+    CatalogVerdict,
     catalog_text,
     classification_text,
     read_catalog,
@@ -17,7 +18,7 @@ from magicgen.catalog import (
     write_atomic,
 )
 from magicgen.cli import main
-from magicgen.enumerator import iter_squares
+from magicgen.enumerator import Shard, iter_squares
 from magicgen.squares import encode_square, parse_square
 
 
@@ -28,9 +29,17 @@ def catalog3_path(tmp_path):
     return path
 
 
-def test_catalog_round_trip(catalog3_path):
+def test_catalog_round_trip(tmp_path, catalog3_path, catalog4):
     squares = read_catalog(catalog3_path)
     assert [sq.cells for sq in squares] == [sq.cells for sq in iter_squares(3)]
+    # The whole order-4 catalog, and the first 100 squares of an order-5 shard.
+    order5 = list(islice(iter_squares(5, Shard((13,))), 100))
+    for order, written in ((4, catalog4), (5, order5)):
+        path = tmp_path / f"catalog{order}.txt"
+        write_atomic(path, catalog_text(written, order))
+        assert [sq.cells for sq in read_catalog(path)] == [sq.cells for sq in written]
+        assert verify_catalog(path) == CatalogVerdict(True, len(written))
+    assert len(catalog4) == 7040
 
 
 def test_catalog_has_header(catalog3_path):
@@ -84,6 +93,114 @@ def test_verify_catalog_counts_past_the_problem_cap(tmp_path, capsys):
     assert verdict.problems[20] == "... 29 further problems suppressed"
     assert main(["verify", "--in", str(path)]) == 1
     assert capsys.readouterr().err == "# count=55\n"
+
+
+# Faults by data line.  verify_catalog checks line sums in batches of
+# 1,024 parsed squares, here data lines 0-1027, 1028-2054 and 2056-2599,
+# so both batch boundaries have faults on either side.  "again" repeats a
+# non-magic square, so line 2056 has two problems.
+_FAULTS = {
+    1018: "count", 1020: "word", 1022: "range", 1023: "swap", 1024: "repeat",
+    1025: "copy", 1026: "again", 1027: "spelled", 1028: "swap", 1029: "copy", 1030: "zero",
+    2046: "count", 2049: "repeat", 2050: "spelled", 2051: "swap", 2052: "copy",
+    2054: "swap", 2055: "word", 2056: "again", 2058: "swap", 2060: "swap",
+    2300: "swap", 2301: "swap", 2302: "copy", 2303: "range", 2304: "swap", 2500: "swap",
+}
+
+
+def _faulty(tokens: list[str], kind: str, first: list[str]) -> list[str]:
+    if kind == "count":
+        return tokens[:-1]
+    if kind == "word":
+        return [*tokens[:5], "x5", *tokens[6:]]
+    if kind == "range":
+        return [*tokens[:3], "17", *tokens[4:]]
+    if kind == "zero":
+        return ["0", *tokens[1:]]
+    if kind == "repeat":
+        return [*tokens[:15], tokens[0]]
+    if kind == "swap":  # rows still sum to 34, columns 0 and 1 do not
+        return [tokens[1], tokens[0], *tokens[2:]]
+    if kind == "copy":
+        return first
+    if kind == "again":
+        return [first[1], first[0], *first[2:]]
+    # "spelled": the same values in spellings int() takes, so no problem.
+    return ["0" + tokens[0], "+" + tokens[1], *tokens[2:]]
+
+
+def _faulty_catalog(path):
+    """2,600 order-4 squares with _FAULTS, tab-spaced, with comment and blank lines."""
+    rows = [encode_square(sq).split() for sq in islice(iter_squares(4), 2600)]
+    lines = ["# format=1", "# order=4"]
+    for i, tokens in enumerate(rows):
+        if i in (1000, 2048):
+            lines += ["# a comment", ""]
+        kind = _FAULTS.get(i)
+        lines.append("\t ".join(_faulty(tokens, kind, rows[0]) if kind else tokens))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+# The verdict on _faulty_catalog as recorded before verify_catalog checked
+# line sums in batches (each square then parsed, built and checked alone).
+PINNED_PROBLEMS = (
+    "line 1018: expected 16 values for order 4, got 15",
+    "line 1020: non-integer token 'x5'",
+    "line 1022: cell 3 holds 17, outside the range 1..16",
+    "line 1023: square is not magic",
+    "line 1024: cell 15 repeats the value 3",
+    "line 1025: duplicate square",
+    "line 1026: square is not magic",
+    "line 1028: square is not magic",
+    "line 1029: duplicate square",
+    "line 1030: cell 0 holds 0, outside the range 1..16",
+    "line 2046: expected 16 values for order 4, got 15",
+    "line 2049: cell 15 repeats the value 5",
+    "line 2051: square is not magic",
+    "line 2052: duplicate square",
+    "line 2054: square is not magic",
+    "line 2055: non-integer token 'x5'",
+    "line 2056: square is not magic",
+    "line 2056: duplicate square",
+    "line 2058: square is not magic",
+    "line 2060: square is not magic",
+    "... 6 further problems suppressed",
+)
+
+
+def test_verify_verdict_pinned(tmp_path, capsys):
+    path = _faulty_catalog(tmp_path / "faulty.txt")
+    pinned = CatalogVerdict(False, 2591, PINNED_PROBLEMS)
+    assert verify_catalog(path) == pinned
+    assert verify_catalog(path, 4) == pinned
+    assert main(["verify", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "".join(f"FAIL: {p}\n" for p in PINNED_PROBLEMS)
+    assert captured.err == "# count=2591\n"
+
+
+def test_verify_verdict_pinned_across_orders(tmp_path):
+    # No header order: each line's order comes from its token count, so
+    # the order changes between parsed squares, and each change starts a
+    # new line-sum batch.
+    three = [encode_square(sq) for sq in iter_squares(3)]
+    four = [encode_square(sq) for sq in islice(iter_squares(4), 3)]
+    t3 = three[2].split()
+    lines = [
+        "# format=1", *three[:4], " ".join([t3[1], t3[0], *t3[2:]]), *four, "1 2 3 4",
+        *three[4:], four[0], three[0], "# order=4", four[1], three[1],
+    ]
+    path = tmp_path / "orders.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert verify_catalog(path) == CatalogVerdict(False, 15, (
+        "line 4: square is not magic",
+        "line 8: token count 4 is not the square of an order >= 3",
+        "line 13: duplicate square",
+        "line 14: duplicate square",
+        "line 15: duplicate square",
+        "line 16: expected 16 values for order 4, got 9",
+    ))
 
 
 def _mixed_catalog(tmp_path):

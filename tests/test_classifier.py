@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +223,16 @@ class TestTypeVISplit:
 
 
 class TestFastClassifier:
+    def test_import_builds_no_constraint_system(self):
+        # The free cells are read on first use, not when magicgen is imported.
+        src = Path(classifier.__file__).parents[1]
+        code = "import magicgen; print(magicgen.build_system.cache_info().misses)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "0\n"
+
     def test_durer_basis_agrees_with_full_path(self, durer, census4):
         fc = FastClassifier.from_census(census4)
         assert fc.classify(DURER_BASIS) == census4.label_of(durer)

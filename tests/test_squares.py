@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from conftest import determinant
@@ -9,6 +12,7 @@ from conftest import determinant
 from magicgen.squares import (
     Square,
     Transformation,
+    _all_magic,
     _is_magic_grid,
     _tables,
     broken_diagonal_sums,
@@ -93,9 +97,25 @@ class TestSquareValidation:
             ),
             (4.0, tuple(range(1, 17)), ValueError, "square order must be an int, got 4.0"),
             (3, [2, 7, 6, 9, 5, 1, 4, 3, 8], ValueError, "cells must be a tuple, got list"),
+            # A cell that is no int, though it may equal 1, fails in the loop.
+            *[
+                (3, (cell, *range(2, 10)), TypeError, message)
+                for cell, message in [
+                    ("1", "'<=' not supported between instances of 'int' and 'str'"),
+                    (None, "'<=' not supported between instances of 'int' and 'NoneType'"),
+                    ([1], "'<=' not supported between instances of 'int' and 'list'"),
+                    (1 + 0j, "'<=' not supported between instances of 'int' and 'complex'"),
+                    (Fraction(1), "unsupported operand type(s) for <<: 'int' and 'Fraction'"),
+                    (
+                        Decimal(1),
+                        "unsupported operand type(s) for <<: 'int' and 'decimal.Decimal'",
+                    ),
+                ]
+            ],
         ],
         ids=["zero", "shifted-down", "shifted-up", "duplicate", "count", "order", "float",
-             "float-order", "list"],
+             "float-order", "list", "str", "none", "list-cell", "complex", "fraction",
+             "decimal"],
     )
     def test_rejection_names_the_cell(self, n, cells, error, message):
         with pytest.raises(error) as info:
@@ -108,6 +128,8 @@ class TestSquareValidation:
         sq = Square(3, (True, 2, 3, 4, 5, 6, 7, 8, 9))
         assert sq == Square(3, tuple(range(1, 10)))
         assert encode_square(sq) == "1 2 3 4 5 6 7 8 9"
+        One = IntEnum("One", [("ONE", 1)])
+        assert Square(3, (One.ONE, *range(2, 10))).cells[0] is One.ONE
 
     def test_acceptance_does_not_wait_for_the_tables(self, durer):
         # The fast path must build the order-4 table if none exists yet.
@@ -172,6 +194,25 @@ class TestLineTable:
                 sum(sq.cells[i] for i in line) == mu for line in magic
             )
 
+    def test_batch_kernel_agrees_with_the_square_kernel(self, n):
+        # One changed cell breaks its row and column.  +1 and -1 on the
+        # corners of a rectangle keep every row and column sum and change
+        # a diagonal only where a corner lies on it, so some grids break a
+        # diagonal alone and some stay magic.
+        uniform = (Fraction(magic_constant(n), n),) * (n * n)
+        grids = []
+        for i in range(n * n):
+            grids.append(uniform[:i] + (uniform[i] + 1,) + uniform[i + 1 :])
+        for r1, r2, c1, c2 in product(range(n), repeat=4):
+            if r1 < r2 and c1 < c2:
+                grid = list(uniform)
+                for r, c, d in ((r1, c1, 1), (r1, c2, -1), (r2, c1, -1), (r2, c2, 1)):
+                    grid[r * n + c] += d
+                grids.append(tuple(grid))
+        for grid in grids:
+            assert _all_magic([uniform, grid, uniform], n) == _is_magic_grid(grid, n)
+        assert _all_magic([uniform] * 3, n)
+
     def test_encode_is_str_per_cell_and_round_trips(self, n):
         rng = random.Random(n)
         for _ in range(50):
@@ -193,17 +234,45 @@ def test_parse_round_trip(durer):
     assert line == "16 3 2 13 5 10 11 8 9 6 7 12 4 15 14 1"
     assert parse_square(line) == durer
     assert parse_square(line, order=4) == durer
+    # Lines with tokens the value table lacks but int() reads: leading
+    # zeros, signs, extra whitespace, digit-group underscores and
+    # non-ASCII digits.
+    for spelled, order in [
+        ("016 03 2 13 5 10 11 8 9 6 7 12 4 15 14 01", None),
+        ("+16 3 +2 13 5 10 11 8 9 6 7 12 4 15 14 1", 4),
+        ("  16\t3  2 13 5 10 11 8 9 6 7 12 4 15 14 1 \r", None),
+        ("1_6 3 2 13 5 10 11 8 9 6 7 12 4 15 14 \u0661", 4),
+    ]:
+        sq = parse_square(spelled, order)
+        assert sq == durer
+        assert set(map(type, sq.cells)) == {int}
+
+
+# Each refusal with its message, as recorded when every token went through
+# int(): token counts, orders, non-integers, ranges and repeats.
+PARSE_REFUSALS = [
+    ("1 2 3", 4, "expected 16 values for order 4, got 3"),
+    ("1 2 3 4 5", None, "token count 5 is not the square of an order >= 3"),
+    ("1 2 3 4", None, "token count 4 is not the square of an order >= 3"),
+    ("", None, "token count 0 is not the square of an order >= 3"),
+    ("   ", 0, "square order must be >= 3, got 0"),
+    ("1 2 3 4", 2, "square order must be >= 3, got 2"),
+    ("1 2 3 x 5 6 7 8 9", 3, "non-integer token 'x'"),
+    ("1 2 3 4.0 5 6 7 8 9", None, "non-integer token '4.0'"),
+    ("0 2 3 4 5 6 7 8 9", 3, "cell 0 holds 0, outside the range 1..9"),
+    ("1 2 3 4 5 6 7 8 10", None, "cell 8 holds 10, outside the range 1..9"),
+    ("-1 2 3 4 5 6 7 8 9", 3, "cell 0 holds -1, outside the range 1..9"),
+    ("1 1 3 4 5 6 7 8 9", 3, "cell 1 repeats the value 1"),
+    ("01 1 3 4 5 6 7 8 9", None, "cell 1 repeats the value 1"),
+    ("16 3 2 13 5 10 11 8 9 6 7 12 4 15 14 16", 4, "cell 15 repeats the value 16"),
+]
 
 
 def test_parse_errors_are_distinct():
-    with pytest.raises(ValueError, match="expected 16 values"):
-        parse_square("1 2 3", order=4)
-    with pytest.raises(ValueError, match="non-integer token"):
-        parse_square("1 2 3 x 5 6 7 8 9", order=3)
-    with pytest.raises(ValueError, match="outside the range"):
-        parse_square("0 2 3 4 5 6 7 8 9", order=3)
-    with pytest.raises(ValueError, match="repeats"):
-        parse_square("1 1 3 4 5 6 7 8 9", order=3)
+    for line, order, message in PARSE_REFUSALS:
+        with pytest.raises(ValueError) as info:
+            parse_square(line, order)
+        assert str(info.value) == message
 
 
 class TestBrokenDiagonals:
