@@ -18,7 +18,6 @@ from .constraints import (
     build_system,
 )
 from .enumerator import (
-    Shard,
     count_squares,
     enumerate_shards_parallel,
     iter_squares,
@@ -67,7 +66,6 @@ __all__ = [
     "Orbit",
     "OrbitPartition",
     "PipelineSummary",
-    "Shard",
     "SignatureClass",
     "Square",
     "Transformation",

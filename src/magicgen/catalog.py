@@ -6,16 +6,19 @@ encoding per line; classification and generator metadata live in sidecar
 files keyed by catalog line number.  All writes go through atomic_file,
 so partially written files never exist.
 
-Catalogs are read a line at a time.  Each line's tokens are mapped to ints
-through the order's value table (int() reads any line with a token the
-table lacks).  verify_catalog builds no Square: a line of n^2 distinct
-table values is a permutation, and line sums are added column-wise over
-batches of squares, so it holds the squares seen, one batch and the
-problems, never the file's text.
+Catalogs are written and read a line at a time: write_catalog streams
+squares to a handle, and catalog_text is the same text as one string.  A
+line's tokens are mapped to ints through the order's value table (int()
+reads any line with a token the table lacks).  verify_catalog builds no
+Square: a line of n^2 distinct table values is a permutation, and line
+sums are added column-wise over batches of consecutive squares.  It holds
+the squares seen, one batch and the first 20 problems, never the file's
+text.
 """
 
 from __future__ import annotations
 
+import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -88,11 +91,19 @@ def _data_lines(path: Path) -> Iterator[str]:
 # Catalogs
 # ---------------------------------------------------------------------------
 
+def write_catalog(fh: TextIO, squares: Iterable[Square], order: int) -> int:
+    """Write the header and one line per square to `fh`; return the count."""
+    fh.write(f"{FORMAT_LINE}\n{ORDER_PREFIX}{order}\n")
+    count = 0
+    for count, sq in enumerate(squares, 1):
+        fh.write(encode_square(sq) + "\n")
+    return count
+
+
 def catalog_text(squares: Iterable[Square], order: int) -> str:
-    lines = [FORMAT_LINE, f"{ORDER_PREFIX}{order}"]
-    lines.extend(encode_square(sq) for sq in squares)
-    lines.append("")
-    return "\n".join(lines)
+    buf = io.StringIO()
+    write_catalog(buf, squares, order)
+    return buf.getvalue()
 
 
 def _catalog_lines(path: Path, order: int | None) -> Iterator[tuple[str, int | None]]:
@@ -137,15 +148,33 @@ def verify_catalog(path: str | os.PathLike, order: int | None = None) -> Catalog
 
     A line that is not n^2 distinct table values goes through parse_square,
     for its problem or its cells.  Line sums are checked per batch of up to
-    _BATCH squares of one order, and square by square only in a batch that
-    fails, to name its squares.
+    _BATCH consecutive squares of one order, and square by square only in a
+    batch that fails, to name its squares.  The batch is checked before any
+    other problem is noted, a duplicate's own line included, so problems
+    arrive in line order.
     """
-    problems: list[tuple[int, int, str]] = []  # (line, 0 or 1 for "duplicate", text)
+    shown: list[str] = []
+    problems = 0
     seen: set[tuple[int, ...]] = set()
     batch: list[tuple[int, ...]] = []
-    batch_lines: list[int] = []
     batch_order = 0
     count = 0
+
+    def note(lineno: int, text: str) -> None:
+        nonlocal problems
+        problems += 1
+        if problems <= 20:
+            shown.append(f"line {lineno}: {text}")
+
+    def check_batch(end: int) -> None:
+        """Note each batch square that is not magic; the batch ends before `end`."""
+        if batch and not _all_magic(batch, batch_order):
+            for lineno, cells in enumerate(batch, end - len(batch)):
+                if not _is_magic_grid(cells, batch_order):
+                    note(lineno, "square is not magic")
+        batch.clear()
+
+    lineno = -1
     for lineno, (line, n) in enumerate(_catalog_lines(Path(path), order)):
         tokens = line.split()
         k = n if n is not None else isqrt(len(tokens))
@@ -154,38 +183,22 @@ def verify_catalog(path: str | os.PathLike, order: int | None = None) -> Catalog
             try:
                 cells = parse_square(line, n).cells
             except ValueError as exc:
-                problems.append((lineno, 0, str(exc)))
+                check_batch(lineno)
+                note(lineno, str(exc))
                 continue
         count += 1
-        if cells in seen:
-            problems.append((lineno, 1, "duplicate square"))
-        seen.add(cells)
         if k != batch_order or len(batch) == _BATCH:
-            _check_line_sums(batch, batch_lines, batch_order, problems)
-            batch, batch_lines, batch_order = [], [], k
+            check_batch(lineno)
+            batch_order = k
         batch.append(cells)
-        batch_lines.append(lineno)
-    _check_line_sums(batch, batch_lines, batch_order, problems)
-    problems.sort()
-    lines = [f"line {lineno}: {text}" for lineno, _, text in problems[:20]]
-    if len(problems) > 20:
-        lines.append(f"... {len(problems) - 20} further problems suppressed")
-    return CatalogVerdict(not problems, count, tuple(lines))
-
-
-def _check_line_sums(
-    batch: list[tuple[int, ...]],
-    batch_lines: list[int],
-    n: int,
-    problems: list[tuple[int, int, str]],
-) -> None:
-    """Add a "not magic" problem for each square of the batch that is not."""
-    if batch and not _all_magic(batch, n):
-        problems.extend(
-            (lineno, 0, "square is not magic")
-            for lineno, cells in zip(batch_lines, batch)
-            if not _is_magic_grid(cells, n)
-        )
+        if cells in seen:
+            check_batch(lineno + 1)
+            note(lineno, "duplicate square")
+        seen.add(cells)
+    check_batch(lineno + 1)
+    if problems > 20:
+        shown.append(f"... {problems - 20} further problems suppressed")
+    return CatalogVerdict(not problems, count, tuple(shown))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .catalog import (
-    FORMAT_LINE,
-    ORDER_PREFIX,
     atomic_file,
     classification_text,
     group_text,
@@ -25,10 +23,11 @@ from .catalog import (
     read_classification,
     verify_catalog,
     write_atomic,
+    write_catalog,
 )
 from .classifier import DudeneyCensus
 from .constraints import build_system, cell_name
-from .enumerator import Shard, checked_plan, iter_squares, shard_for, trial_cells
+from .enumerator import checked_plan, iter_squares, shard_for, trial_cells
 from .generators import census as generator_census
 from .groups import symmetry_group
 from .pipeline import (
@@ -40,7 +39,6 @@ from .pipeline import (
     report_data,
     run_pipeline,
 )
-from .squares import encode_square
 
 
 def _parse_cell(token: str, n: int) -> int:
@@ -53,11 +51,14 @@ def _parse_cell(token: str, n: int) -> int:
     return idx
 
 
-def _shard_from_args(args, n: int) -> Shard | None:
+def _output(args):
+    """The --out file, replaced atomically once the block succeeds, or stdout."""
+    return atomic_file(args.out) if args.out else nullcontext(sys.stdout)
+
+
+def _shard_from_args(args, n: int) -> tuple[int, ...]:
     cells = args.shard_cell or []
     values = args.shard_value or []
-    if not cells and not values:
-        return None
     if len(cells) != len(values):
         raise ValueError("--shard-cell and --shard-value must be paired")
     shard = shard_for(n, [_parse_cell(c, n) for c in cells], values)
@@ -70,19 +71,13 @@ def _cmd_enumerate(args) -> int:
     shard = _shard_from_args(args, n)
     if args.long_run and n != 5:
         raise ValueError(f"--long-run applies to order 5 only, not order {n}")
-    if n == 5 and shard is None and not args.long_run:
-        print(
-            "error: full order-5 enumeration is a long-running job; "
-            "pass --long-run or shard it with --shard-cell/--shard-value",
-            file=sys.stderr,
+    if n == 5 and not shard and not args.long_run:
+        raise ValueError(
+            "full order-5 enumeration is a long-running job; "
+            "pass --long-run or shard it with --shard-cell/--shard-value"
         )
-        return 1
-    with atomic_file(args.out) if args.out else nullcontext(sys.stdout) as fh:
-        fh.write(f"{FORMAT_LINE}\n{ORDER_PREFIX}{n}\n")
-        count = 0
-        for sq in iter_squares(n, shard):
-            fh.write(encode_square(sq) + "\n")
-            count += 1
+    with _output(args) as fh:
+        count = write_catalog(fh, iter_squares(n, shard), n)
     print(f"# count={count}", file=sys.stderr)
     return 0
 
@@ -91,31 +86,20 @@ def _cmd_classify(args) -> int:
     squares = read_catalog(args.infile)
     dudeney = DudeneyCensus.from_catalog(squares)
     records = classify_catalog(squares, dudeney)
-    text = classification_text(records, args.format)
-    if args.out:
-        write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    with _output(args) as fh:
+        fh.write(classification_text(records, args.format))
     print(f"# count={len(records)} classes=12", file=sys.stderr)
     return 0
 
 
-def _squares_by_trigg(path: str, letter: str):
-    records = read_classification(path)
-    return [r.square for r in records if r.trigg == letter]
-
-
 def _cmd_group(args) -> int:
-    members = _squares_by_trigg(args.infile, args.trigg)
+    records = read_classification(args.infile)
+    members = [r.square for r in records if r.trigg == args.trigg]
     if not members:
-        print(f"error: no squares labeled trigg={args.trigg}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no squares labeled trigg={args.trigg}")
     group = symmetry_group(members)
-    text = group_text(f"trigg_{args.trigg}", group)
-    if args.out:
-        write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    with _output(args) as fh:
+        fh.write(group_text(f"trigg_{args.trigg}", group))
     print(f"# size={len(group)} pair_view={len(group.pair_view())}", file=sys.stderr)
     return 0
 
@@ -176,7 +160,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_pipeline(args) -> int:
     shards = None
     if args.shard_value:
-        shards = [Shard(tuple(int(x) for x in sv.split(","))) for sv in args.shard_value]
+        shards = [tuple(int(x) for x in sv.split(",")) for sv in args.shard_value]
     try:
         summary = run_pipeline(
             args.order,

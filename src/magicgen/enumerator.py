@@ -26,8 +26,8 @@ Each dependent's base is carried from level to level, and a candidate
 works on a copy of the line needs: a failed candidate drops it, an
 accepted one passes it on, so nothing is ever undone.
 
-A Shard fixes the values of the first k trial cells, so shards with
-distinct prefixes explore disjoint subtrees and the union over all
+A shard is a tuple of values for the first k trial cells, so shards
+with distinct prefixes explore disjoint subtrees and the union over all
 prefixes covers the whole space; this is the unit of parallel and
 resumable work.
 
@@ -59,13 +59,6 @@ from .constraints import build_system
 from .squares import Square, Transformation, _tables, magic_constant
 
 SUPPORTED_ORDERS = (3, 4, 5)
-
-
-@dataclass(frozen=True)
-class Shard:
-    """Prefix constraint: value i of `prefix` pins trial cell i."""
-
-    prefix: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +93,6 @@ def trial_cells(n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class _Plan:
-    n: int
     trials: tuple[int, ...]
     # Cells whose dependency has no free-cell term: fixed for every square.
     constants: tuple[tuple[int, int], ...]
@@ -185,7 +177,6 @@ def _plan(n: int) -> _Plan:
         later -= len(deps)
         carry.append(tuple(cf[level] for *_, cf in deepest_first[:later]))
     return _Plan(
-        n,
         trials,
         tuple(constants),
         tuple(tlines),
@@ -244,10 +235,8 @@ def _orbit_floors(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return above_first, above_second
 
 
-def _checked_prefix(n: int, shard: Shard | None) -> tuple[int, ...]:
-    if shard is None:
-        return ()
-    prefix = tuple(shard.prefix)
+def _checked_prefix(n: int, prefix: Sequence[int]) -> tuple[int, ...]:
+    prefix = tuple(prefix)
     n2 = n * n
     if len(prefix) > len(trial_cells(n)):
         raise ValueError(f"shard prefix longer than the {len(trial_cells(n))}-cell basis")
@@ -259,7 +248,7 @@ def _checked_prefix(n: int, shard: Shard | None) -> tuple[int, ...]:
     return prefix
 
 
-def checked_plan(n: int, shards: Sequence[Shard]) -> int:
+def checked_plan(n: int, shards: Sequence[Sequence[int]]) -> int:
     """Prefix depth of a shard plan whose subtrees are pairwise disjoint.
 
     A plan must be non-empty, every prefix valid and of one depth, and no
@@ -462,7 +451,7 @@ def _order4_by_orbits() -> tuple[tuple[int, ...], ...]:
     return tuple(squares)
 
 
-def _raw_iter(n: int, shard: Shard | None) -> Iterator[tuple[int, ...]]:
+def _raw_iter(n: int, shard: Sequence[int]) -> Iterator[tuple[int, ...]]:
     if n not in SUPPORTED_ORDERS:
         raise ValueError(
             f"unsupported order {n}; supported orders are {SUPPORTED_ORDERS}"
@@ -480,7 +469,7 @@ def _raw_iter(n: int, shard: Shard | None) -> Iterator[tuple[int, ...]]:
     return _iter_generic(n, prefix)
 
 
-def iter_squares(n: int, shard: Shard | None = None) -> Iterator[Square]:
+def iter_squares(n: int, shard: Sequence[int] = ()) -> Iterator[Square]:
     """Stream every normal magic square of order n exactly once.
 
     With a shard, streams exactly the squares whose leading trial cells
@@ -490,17 +479,17 @@ def iter_squares(n: int, shard: Shard | None = None) -> Iterator[Square]:
         yield Square(n, cells)
 
 
-def count_squares(n: int, shard: Shard | None = None) -> int:
+def count_squares(n: int, shard: Sequence[int] = ()) -> int:
     """Count without materializing Square objects."""
     return sum(1 for _ in _raw_iter(n, shard))
 
 
-def single_cell_shards(n: int) -> tuple[Shard, ...]:
+def single_cell_shards(n: int) -> tuple[tuple[int], ...]:
     """The n^2 disjoint shards fixing the first trial cell to each value."""
-    return tuple(Shard((v,)) for v in range(1, n * n + 1))
+    return tuple((v,) for v in range(1, n * n + 1))
 
 
-def shard_for(n: int, cells: Sequence[int], values: Sequence[int]) -> Shard:
+def shard_for(n: int, cells: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
     """Build a shard, insisting `cells` matches the engine's trial order."""
     if len(cells) != len(values):
         raise ValueError("shard cells and values differ in length")
@@ -509,17 +498,17 @@ def shard_for(n: int, cells: Sequence[int], values: Sequence[int]) -> Shard:
         raise ValueError(
             f"shard cells {tuple(cells)} must be the leading trial cells {expected}"
         )
-    return Shard(tuple(values))
+    return tuple(values)
 
 
 def _shard_worker(args: tuple[int, tuple[int, ...], int | None]) -> list[tuple[int, ...]]:
     n, prefix, limit = args
-    return list(islice(_raw_iter(n, Shard(prefix)), limit))
+    return list(islice(_raw_iter(n, prefix), limit))
 
 
 def enumerate_shards_parallel(
     n: int,
-    shards: Sequence[Shard],
+    shards: Sequence[Sequence[int]],
     max_workers: int | None = None,
     limit_per_shard: int | None = None,
 ) -> Iterator[Square]:
@@ -539,7 +528,7 @@ def enumerate_shards_parallel(
     checked_plan(n, shards)
     if limit_per_shard is not None and limit_per_shard < 0:
         raise ValueError(f"limit_per_shard must be >= 0, not {limit_per_shard}")
-    args = [(n, tuple(s.prefix), limit_per_shard) for s in shards]
+    args = [(n, tuple(s), limit_per_shard) for s in shards]
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         for cells_list in pool.map(_shard_worker, args):
             for cells in cells_list:

@@ -166,14 +166,6 @@ class Discrepancy:
     expected: str
     computed: str
 
-    def as_dict(self) -> dict[str, str]:
-        return {
-            "subject": self.subject,
-            "field": self.field,
-            "expected": self.expected,
-            "computed": self.computed,
-        }
-
 
 @dataclass(frozen=True)
 class ClassCensus:

@@ -20,7 +20,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,7 +32,13 @@ from .catalog import (
     write_atomic,
 )
 from .classifier import DudeneyCensus, count_magic_broken_diagonals, with_vi_split
-from .enumerator import Shard, checked_plan, count_squares, iter_squares, trial_cells
+from .enumerator import (
+    checked_plan,
+    count_squares,
+    iter_squares,
+    single_cell_shards,
+    trial_cells,
+)
 from .generators import (
     GeneratorCensus,
     class_census,
@@ -133,7 +139,7 @@ def report_data(
     count: int,
     dudeney: DudeneyCensus | None,
     gens: GeneratorCensus | None,
-    shards: Sequence[Shard] | None = None,
+    shards: Sequence[Sequence[int]] | None = None,
 ) -> dict:
     """Machine-readable report; `shards` is a plan checked by checked_plan."""
     data: dict = {"format": 1, "order": order, "square_count": count}
@@ -161,9 +167,9 @@ def report_data(
             }
             for cls in gens.classes
         }
-        data["discrepancies"] = [d.as_dict() for d in gens.discrepancies]
+        data["discrepancies"] = [asdict(d) for d in gens.discrepancies]
     if shards is not None:
-        depth = len(shards[0].prefix)
+        depth = len(shards[0])
         data["shard_plan"] = {
             "prefix_depth": depth,
             "shards": len(shards),
@@ -255,7 +261,7 @@ def run_pipeline(
     order: int,
     out_dir: str | Path,
     long_run: bool = False,
-    shards: Sequence[Shard] | None = None,
+    shards: Sequence[Sequence[int]] | None = None,
     log=None,
 ) -> PipelineSummary:
     """Run every stage for the given order and persist all artifacts.
@@ -264,7 +270,7 @@ def run_pipeline(
     listings, generator report, report.json, discrepancies.json and
     summary.txt; they take neither long_run nor a shard plan.  Order 5
     requires long_run=True and executes a resumable count-only shard plan
-    (default: one shard per value of the first trial cell), then writes
+    (default: single_cell_shards(5)), then writes
     report.json and summary.txt.
     """
     out = Path(out_dir)
@@ -309,15 +315,15 @@ def _run_small(order: int, out: Path, log) -> PipelineSummary:
     write_atomic(out / REPORT_JSON, json.dumps(data, indent=2) + "\n")
     write_atomic(
         out / "discrepancies.json",
-        json.dumps([d.as_dict() for d in gens.discrepancies], indent=2) + "\n",
+        json.dumps([asdict(d) for d in gens.discrepancies], indent=2) + "\n",
     )
     write_atomic(out / SUMMARY_NAME, emit_report(data))
     log(f"# stage=report discrepancies={len(gens.discrepancies)}")
     return PipelineSummary(order, len(squares), gens.total_generators, out)
 
 
-def _shard_tag(shard: Shard) -> str:
-    return "_".join(f"{v:02d}" for v in shard.prefix)
+def _shard_tag(shard: Sequence[int]) -> str:
+    return "_".join(f"{v:02d}" for v in shard)
 
 
 def _trusted_count(path: Path, head: str) -> int | None:
@@ -330,9 +336,9 @@ def _trusted_count(path: Path, head: str) -> int | None:
     return int(m.group(1)) if m else None
 
 
-def _run_order5(out: Path, shards: Sequence[Shard] | None, log) -> PipelineSummary:
+def _run_order5(out: Path, shards: Sequence[Sequence[int]] | None, log) -> PipelineSummary:
     if shards is None:
-        shards = [Shard((v,)) for v in range(1, 26)]
+        shards = single_cell_shards(5)
     depth = checked_plan(5, shards)
     cells = ",".join(cell_name(c, 5) for c in trial_cells(5)[:depth])
     manifest = ["# format=1", f"# kind=shard-plan order=5 cells={cells}"]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
+from math import isqrt
 from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -136,7 +137,7 @@ def parse_square(line: str, order: int | None = None) -> Square:
             )
         n = order
     else:
-        n = int(round(len(tokens) ** 0.5))
+        n = isqrt(len(tokens))
         if n * n != len(tokens) or n < 3:
             raise ValueError(
                 f"token count {len(tokens)} is not the square of an order >= 3"

@@ -42,7 +42,6 @@ from magicgen.classifier import (
 )
 from magicgen.constraints import build_system
 from magicgen.enumerator import (
-    Shard,
     count_squares,
     enumerate_shards_parallel,
     iter_squares,
@@ -295,7 +294,7 @@ def _shard_cells(shard):
 @pytest.mark.slow
 def test_criterion_10_order5_sample():
     system = build_system(5)
-    shards = [Shard((v,)) for v in (12, 13, 14, 18)]
+    shards = [(v,) for v in (12, 13, 14, 18)]
     t0 = time.perf_counter()
     sample = list(
         enumerate_shards_parallel(5, shards, max_workers=2, limit_per_shard=2500)

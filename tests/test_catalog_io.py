@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import io
 import os
 import threading
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -16,9 +18,10 @@ from magicgen.catalog import (
     read_classification,
     verify_catalog,
     write_atomic,
+    write_catalog,
 )
 from magicgen.cli import main
-from magicgen.enumerator import Shard, iter_squares
+from magicgen.enumerator import iter_squares
 from magicgen.squares import encode_square, parse_square
 
 
@@ -33,7 +36,7 @@ def test_catalog_round_trip(tmp_path, catalog3_path, catalog4):
     squares = read_catalog(catalog3_path)
     assert [sq.cells for sq in squares] == [sq.cells for sq in iter_squares(3)]
     # The whole order-4 catalog, and the first 100 squares of an order-5 shard.
-    order5 = list(islice(iter_squares(5, Shard((13,))), 100))
+    order5 = list(islice(iter_squares(5, (13,)), 100))
     for order, written in ((4, catalog4), (5, order5)):
         path = tmp_path / f"catalog{order}.txt"
         write_atomic(path, catalog_text(written, order))
@@ -46,6 +49,17 @@ def test_catalog_has_header(catalog3_path):
     text = catalog3_path.read_text()
     assert text.startswith("# format=1\n# order=3\n")
     assert text.endswith("\n")
+
+
+def test_write_catalog_streams_and_counts():
+    squares = list(iter_squares(3))
+    fh = io.StringIO()
+    assert write_catalog(fh, iter(squares), 3) == 8
+    lines = "".join(encode_square(sq) + "\n" for sq in squares)
+    assert fh.getvalue() == "# format=1\n# order=3\n" + lines
+    empty = io.StringIO()
+    assert write_catalog(empty, [], 5) == 0
+    assert empty.getvalue() == catalog_text([], 5) == "# format=1\n# order=5\n"
 
 
 def test_missing_header_rejected(tmp_path):
@@ -95,10 +109,11 @@ def test_verify_catalog_counts_past_the_problem_cap(tmp_path, capsys):
     assert capsys.readouterr().err == "# count=55\n"
 
 
-# Faults by data line.  verify_catalog checks line sums in batches of
-# 1,024 parsed squares, here data lines 0-1027, 1028-2054 and 2056-2599,
-# so both batch boundaries have faults on either side.  "again" repeats a
-# non-magic square, so line 2056 has two problems.
+# Faults by data line.  verify_catalog checks line sums in batches of up
+# to 1,024 consecutive parsed squares; with no problem to end a batch early
+# they would be data lines 0-1027, 1028-2054 and 2056-2599, so both of
+# those boundaries have faults on either side.  "again" repeats a non-magic
+# square, so line 2056 has two problems.
 _FAULTS = {
     1018: "count", 1020: "word", 1022: "range", 1023: "swap", 1024: "repeat",
     1025: "copy", 1026: "again", 1027: "spelled", 1028: "swap", 1029: "copy", 1030: "zero",
@@ -201,6 +216,22 @@ def test_verify_verdict_pinned_across_orders(tmp_path):
         "line 15: duplicate square",
         "line 16: expected 16 values for order 4, got 9",
     ))
+
+
+def test_verify_holds_only_the_reported_problems(tmp_path):
+    # 50,000 bad lines: only the first 20 problems are kept as text.
+    path = tmp_path / "bad.txt"
+    path.write_text("# format=1\n# order=4\n" + "1 2 3\n" * 50_000)
+    tracemalloc.start()
+    try:
+        verdict = verify_catalog(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.count == 0 and len(verdict.problems) == 21
+    assert verdict.problems[0] == "line 0: expected 16 values for order 4, got 3"
+    assert verdict.problems[20] == "... 49980 further problems suppressed"
+    assert peak < 1 << 20
 
 
 def _mixed_catalog(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from magicgen import generators
 from magicgen.cli import main
 from magicgen.catalog import catalog_text, read_catalog, read_classification
-from magicgen.enumerator import Shard, count_squares, iter_squares, single_cell_shards
+from magicgen.enumerator import count_squares, iter_squares, single_cell_shards
 from magicgen.pipeline import emit_report, report_data, run_pipeline
 from magicgen.squares import encode_square
 
@@ -20,7 +20,7 @@ A16_CATALOG_SHA256 = "1fe7cb05e3a7884d2850b1f29f1811bebe8849ee0af2c274df78929d6a
 # sha256 of the order-3 group listing, formerly group.txt.
 ORDER3_GROUP_SHA256 = "330da85482cf5b840d1142bb32a4bcf51d45ca6b5a713243296d48fbb6ff5782"
 # Two tiny order-5 subtrees (first row 1+2+13+24 leaves e=25).
-ORDER5_PLAN = [Shard((1, 2, 13, 24, 3, 22)), Shard((1, 2, 13, 24, 4, 21))]
+ORDER5_PLAN = [(1, 2, 13, 24, 3, 22), (1, 2, 13, 24, 4, 21)]
 
 
 def test_analyze_basis(capsys):
@@ -59,7 +59,7 @@ def test_enumerate_shard_to_file(tmp_path, capsys):
     )
     assert code == 0
     squares = read_catalog(out)
-    assert len(squares) == count_squares(4, Shard((16,)))
+    assert len(squares) == count_squares(4, (16,))
     assert all(sq.cells[0] == 16 for sq in squares)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == A16_CATALOG_SHA256
 
@@ -108,9 +108,30 @@ def test_enumerate_checks_the_shard_before_writing(capsys):
     assert captured.err == "error: shard prefix value 99 outside 1..16\n"
 
 
-def test_enumerate_order5_requires_long_run_or_shard(capsys):
-    assert main(["enumerate", "--order", "5"]) == 1
-    assert "long-running" in capsys.readouterr().err
+def test_enumerate_order5_requires_long_run_or_shard(tmp_path, capsys):
+    out = tmp_path / "cat.txt"
+    for extra in ([], ["--out", str(out)]):
+        assert main(["enumerate", "--order", "5", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: full order-5 enumeration is a long-running job; "
+            "pass --long-run or shard it with --shard-cell/--shard-value\n"
+        )
+    assert not out.exists()
+
+
+def test_group_without_members_is_an_error(tmp_path, capsys):
+    # A classification file that labels no square B.
+    classes = tmp_path / "classes.tsv"
+    classes.write_text("# format=1\n")
+    out = tmp_path / "group.txt"
+    for extra in ([], ["--out", str(out)]):
+        assert main(["group", "--in", str(classes), "--trigg", "B", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no squares labeled trigg=B\n"
+    assert not out.exists()
 
 
 def test_verify_command(tmp_path, capsys):
@@ -357,8 +378,8 @@ def test_pipeline_order5_shard_plan_resumes(tmp_path):
     # Deep prefixes keep each shard's subtree tiny; the plan is explicit.
     # (First row 1+2+13+24 leaves e=25; both subtrees are nonempty.)
     shards = [
-        Shard((1, 2, 13, 24, 3, 22)),
-        Shard((1, 2, 13, 24, 4, 21)),
+        (1, 2, 13, 24, 3, 22),
+        (1, 2, 13, 24, 4, 21),
     ]
     events: list[str] = []
     summary = run_pipeline(5, out, long_run=True, shards=shards, log=events.append)
@@ -423,11 +444,11 @@ def test_order5_report_labels_the_plan(tmp_path):
 
 BAD_PLANS = {
     "empty": [],
-    "repeated": [Shard((13, 1, 2, 24, 3, 14, 16, 12))] * 2,
-    "nested": [Shard((13, 1, 2, 24, 3, 14, 16)), Shard((13, 1, 2, 24, 3, 14, 16, 12))],
-    "repeated_value": [Shard((1, 1))],
-    "out_of_range": [Shard((26,))],
-    "too_deep": [Shard(tuple(range(1, 16)))],
+    "repeated": [(13, 1, 2, 24, 3, 14, 16, 12)] * 2,
+    "nested": [(13, 1, 2, 24, 3, 14, 16), (13, 1, 2, 24, 3, 14, 16, 12)],
+    "repeated_value": [(1, 1)],
+    "out_of_range": [(26,)],
+    "too_deep": [tuple(range(1, 16))],
 }
 
 
@@ -443,7 +464,7 @@ def test_bad_shard_plan_rejected_before_the_manifest(plan, tmp_path):
 def test_bad_shard_plan_cli_error(plan, tmp_path, capsys):
     argv = ["pipeline", "--order", "5", "--long-run", "--out-dir", str(tmp_path / "p5")]
     for shard in BAD_PLANS[plan]:
-        argv += ["--shard-value", ",".join(map(str, shard.prefix))]
+        argv += ["--shard-value", ",".join(map(str, shard))]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: stage=pipeline ")
 

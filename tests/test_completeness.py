@@ -17,14 +17,14 @@ from itertools import islice, permutations
 import pytest
 
 from magicgen.constraints import build_system
-from magicgen.enumerator import Shard, count_squares, iter_squares, shard_for, trial_cells
+from magicgen.enumerator import count_squares, iter_squares, shard_for, trial_cells
 from magicgen.squares import _is_magic_grid, encode_square
 
-# sha256 of the first 40 encodings of Shard((13,)), one per line, as the
+# sha256 of the first 40 encodings of shard (13,), one per line, as the
 # generic engine emitted them when this check was written.
 SHARD13_HEAD_SHA256 = "35cfc3b695692fd18c550e437185d898a771bd19d0deeac4938535f0ab3e84d2"
 
-# Depth-12 prefix from the head of Shard((2,)) whose node one level above
+# Depth-12 prefix from the head of shard (2,) whose node one level above
 # the last trial level completes two ways, so the last level's scan order
 # shows in the emission order (order-4 nodes there complete at most once).
 TWO_WAY_PREFIX = (2, 1, 13, 24, 4, 19, 21, 7, 20, 23, 9, 22)
@@ -63,7 +63,7 @@ def _prefixes(n: int, emitted, depth: int, seed: int) -> list[tuple[int, ...]]:
 
 @pytest.fixture(scope="module")
 def shard13_head():
-    return list(islice(iter_squares(5, Shard((13,))), 40))
+    return list(islice(iter_squares(5, (13,)), 40))
 
 
 def test_shard13_emission_order_pinned(shard13_head):
@@ -89,7 +89,7 @@ def test_depth8_order5_emission_pinned():
 
 def test_order4_shards_equal_brute_force(catalog4):
     for prefix in _prefixes(4, catalog4, 4, seed=41):
-        mine = [sq.cells for sq in iter_squares(4, Shard(prefix))]
+        mine = [sq.cells for sq in iter_squares(4, prefix)]
         assert mine == brute_force_completions(4, prefix), prefix
 
 
@@ -97,7 +97,7 @@ def test_order5_shards_equal_brute_force(shard13_head):
     prefixes = _prefixes(5, shard13_head, 12, seed=51) + [TWO_WAY_PREFIX]
     nonempty = 0
     for prefix in prefixes:
-        mine = [sq.cells for sq in iter_squares(5, Shard(prefix))]
+        mine = [sq.cells for sq in iter_squares(5, prefix)]
         assert mine == brute_force_completions(5, prefix), prefix
         nonempty += bool(mine)
     assert nonempty >= 5
@@ -108,8 +108,8 @@ def test_order5_complement_invariance(shard13_head):
     depth8 = trial_cells(5)[:8]
     prefixes = sorted({tuple(sq.cells[c] for c in depth8) for sq in shard13_head})
     for p in prefixes:
-        count = count_squares(5, Shard(p))
+        count = count_squares(5, p)
         assert count >= sum(
             1 for sq in shard13_head if tuple(sq.cells[c] for c in depth8) == p
         )
-        assert count == count_squares(5, Shard(tuple(26 - v for v in p))), p
+        assert count == count_squares(5, tuple(26 - v for v in p)), p

@@ -11,7 +11,6 @@ from conftest import is_least
 from magicgen import enumerator
 from magicgen.constraints import build_system
 from magicgen.enumerator import (
-    Shard,
     _iter_generic,
     _line_group,
     _order4_by_orbits,
@@ -146,8 +145,8 @@ def test_unsupported_order():
 
 
 def test_determinism_two_runs_identical():
-    a = [sq.cells for sq in iter_squares(4, Shard((7,)))]
-    b = [sq.cells for sq in iter_squares(4, Shard((7,)))]
+    a = [sq.cells for sq in iter_squares(4, (7,))]
+    b = [sq.cells for sq in iter_squares(4, (7,))]
     assert a == b
 
 
@@ -166,7 +165,7 @@ def test_order4_fast_path_equals_generic_engine(prefix):
     # An order-4 shard is a slice of the expanded catalog; the full-mode
     # generic search of the same subtree is the reference.
     expected = list(_iter_generic(4, prefix))
-    assert [sq.cells for sq in iter_squares(4, Shard(prefix))] == expected
+    assert [sq.cells for sq in iter_squares(4, prefix)] == expected
     if prefix == EMPTY:
         assert expected == []
     if prefix == DEEPEST:
@@ -180,7 +179,7 @@ class TestOrbitLeastOrder4:
         # Shards are slices of the full run, so the reference is the
         # full-mode generic search of each single-cell subtree.
         shards = [
-            cells for s in single_cell_shards(4) for cells in _iter_generic(4, s.prefix)
+            cells for s in single_cell_shards(4) for cells in _iter_generic(4, s)
         ]
         assert [sq.cells for sq in catalog4] == shards
 
@@ -204,12 +203,12 @@ class TestOrbitLeastOrder4:
 class TestShards:
     def test_complementary_shards_have_equal_counts(self):
         # v -> 17-v maps magic squares to magic squares and a=1 to a=16.
-        assert count_squares(4, Shard((1,))) == count_squares(4, Shard((16,)))
+        assert count_squares(4, (1,)) == count_squares(4, (16,))
 
     def test_contradictory_shard_is_empty(self):
         # No order-3 square has 1 in a corner (and 5 is pinned to the center).
-        assert count_squares(3, Shard((1,))) == 0
-        assert count_squares(3, Shard((5,))) == 0
+        assert count_squares(3, (1,)) == 0
+        assert count_squares(3, (5,)) == 0
 
     def test_shard_partition_sums_to_total(self, catalog4):
         counts = [count_squares(4, s) for s in single_cell_shards(4)]
@@ -225,26 +224,26 @@ class TestShards:
         empty = 0
         for prefix in permutations(range(1, 17), depth):
             expected = [c for c in cells if trial_values(c)[:depth] == prefix]
-            assert [sq.cells for sq in iter_squares(4, Shard(prefix))] == expected
-            assert count_squares(4, Shard(prefix)) == len(expected)
+            assert [sq.cells for sq in iter_squares(4, prefix)] == expected
+            assert count_squares(4, prefix) == len(expected)
             empty += not expected
         assert empty == (0 if depth == 1 else 6)
 
     def test_invalid_prefixes_rejected(self):
         with pytest.raises(ValueError, match="repeats"):
-            count_squares(4, Shard((3, 3)))
+            count_squares(4, (3, 3))
         with pytest.raises(ValueError, match="outside"):
-            count_squares(4, Shard((17,)))
+            count_squares(4, (17,))
         with pytest.raises(ValueError, match="longer"):
-            count_squares(3, Shard((1, 2, 3)))
+            count_squares(3, (1, 2, 3))
 
     def test_shard_for_validates_cells(self):
-        assert shard_for(4, [0, 1], [3, 9]).prefix == (3, 9)
+        assert shard_for(4, [0, 1], [3, 9]) == (3, 9)
         with pytest.raises(ValueError, match="leading trial cells"):
             shard_for(4, [0, 2], [3, 9])
 
     def test_parallel_merge_matches_serial(self):
-        shards = [Shard((v,)) for v in (2, 3)]
+        shards = [(v,) for v in (2, 3)]
         serial = [sq.cells for s in shards for sq in iter_squares(4, s)]
         parallel = [
             sq.cells
@@ -265,12 +264,11 @@ class TestShards:
     def test_parallel_rejects_overlapping_plan(self, prefixes, match):
         # Repeated and nested prefixes would yield a subtree twice; any mix
         # of depths is rejected the same way.
-        shards = [Shard(p) for p in prefixes]
         with pytest.raises(ValueError, match=match):
-            next(enumerate_shards_parallel(4, shards, max_workers=2))
+            next(enumerate_shards_parallel(4, prefixes, max_workers=2))
 
     def test_parallel_limit_per_shard(self):
-        shards = [Shard((v,)) for v in (2, 3)]
+        shards = [(v,) for v in (2, 3)]
         zero = enumerate_shards_parallel(4, shards, max_workers=2, limit_per_shard=0)
         assert list(zero) == []
         two = enumerate_shards_parallel(4, shards, max_workers=2, limit_per_shard=2)

@@ -15,7 +15,7 @@ from operator import itemgetter
 import pytest
 from conftest import is_least, universe
 
-from magicgen.enumerator import Shard, _iter_generic, _line_group, iter_squares, trial_cells
+from magicgen.enumerator import _iter_generic, _line_group, iter_squares, trial_cells
 from magicgen.squares import Transformation, _is_magic_grid
 
 
@@ -25,7 +25,7 @@ def images(cells: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
 
 @pytest.fixture(scope="module")
 def shard13_head():
-    return [sq.cells for sq in islice(iter_squares(5, Shard((13,))), 40)]
+    return [sq.cells for sq in islice(iter_squares(5, (13,)), 40)]
 
 
 def _magic_keeping_maps(n: int, sample) -> set[tuple[int, ...]]:
