@@ -28,7 +28,6 @@ from .enumerator import (
 from .classifier import (
     ClassLabel,
     DudeneyCensus,
-    FastClassifier,
     SignatureClass,
     assign_labels,
     count_magic_broken_diagonals,
@@ -60,7 +59,6 @@ __all__ = [
     "Dependency",
     "Discrepancy",
     "DudeneyCensus",
-    "FastClassifier",
     "GeneratorCensus",
     "GroupClosureError",
     "Orbit",

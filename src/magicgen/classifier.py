@@ -16,6 +16,10 @@ the 12 classes from a full catalog, and names them:
   within-group order.
 * Class VI (the 2432 class) splits VI''/VI' by whether some broken
   diagonal sums to 34.
+
+The census is the one classification path: pipeline.classify_catalog
+labels each square by the class that holds it.  The paper's supervised
+classifier is reproduced, with held-out figures, in the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .constraints import build_system
 from .squares import (
     Square,
     broken_diagonal_sums,
@@ -183,16 +186,6 @@ class DudeneyCensus:
         classes = discover_classes(catalog)
         return cls(classes, assign_labels(classes))
 
-    def label_of(self, square: Square) -> ClassLabel:
-        """Classify any order-4 magic square by its signature, VI split included.
-
-        A square that is not normal magic is a ValueError.
-        """
-        if not is_normal_magic(square):
-            raise ValueError(f"square {encode_square(square)} is not normal magic")
-        label = self.labels[signature(square)]
-        return with_vi_split(label, count_magic_broken_diagonals(square))
-
     def trigg_members(self, letter: str) -> tuple[Square, ...]:
         members: list[Square] = []
         for cls in self.classes:
@@ -207,72 +200,3 @@ class DudeneyCensus:
             pops[letter] = pops.get(letter, 0) + cls.population
         return pops
 
-
-FastKey = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
-
-
-class FastClassifier:
-    """Basis-only classification via complement pairs among the free cells.
-
-    The free cells (a, b, c, e, f, g, i) hold 7 of the 16 values; whenever
-    both members of a complement pair land on free cells, the pair's
-    position geometry is visible without deriving the dependent cells, and
-    each remaining free cell still reveals which complement pair its value
-    belongs to.  A lookup table from that partial view to the class label
-    is built once from a classified census; keys observed with more than
-    one label (about 1% of squares) are ambiguous and fall back to the
-    full signature path.
-    """
-
-    def __init__(
-        self,
-        census: DudeneyCensus,
-        table: dict[FastKey, ClassLabel | None],
-    ) -> None:
-        self._census = census
-        self._table = table
-        self.fallbacks = 0
-
-    @classmethod
-    def from_census(cls, census: DudeneyCensus) -> "FastClassifier":
-        table: dict[FastKey, ClassLabel | None] = {}
-        basis_of = itemgetter(*build_system(4).free_cells)
-        for sig_class in census.classes:
-            label = census.labels[sig_class.signature]
-            for sq in sig_class.members:
-                key = cls._basis_key(basis_of(sq.cells))
-                prior = table.get(key, label)
-                table[key] = label if prior == label else None
-        return cls(census, table)
-
-    @staticmethod
-    def _basis_key(basis: Sequence[int]) -> FastKey:
-        where = dict(zip(basis, build_system(4).free_cells))
-        pairs = []
-        unpaired = []
-        for v, pos in where.items():
-            mate = where.get(17 - v)
-            if mate is None:
-                unpaired.append((pos, min(v, 17 - v)))
-            elif v < 17 - v:
-                pairs.append((pos, mate) if pos < mate else (mate, pos))
-        pairs.sort()
-        unpaired.sort()
-        return tuple(pairs), tuple(unpaired)
-
-    def classify(self, basis: Sequence[int]) -> ClassLabel:
-        """Label for the square defined by the 7-value basis.
-
-        The dependent cells are always derived, so a basis that defines no
-        normal magic square is rejected; the full signature path runs only
-        when the partial scan is ambiguous.
-        """
-        try:
-            square = Square(4, build_system(4).solve(basis))
-        except ValueError as exc:
-            raise ValueError(f"basis does not define a magic square: {exc}") from None
-        label = self._table.get(self._basis_key(basis))
-        if label is None:
-            self.fallbacks += 1
-            return self._census.label_of(square)
-        return with_vi_split(label, count_magic_broken_diagonals(square))

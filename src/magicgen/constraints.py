@@ -11,9 +11,9 @@ earliest ones in reading order; for order 4 this makes the basis the
 cells named a, b, c, e, f, g, i (indices 0, 1, 2, 4, 5, 6, 8).
 
 That solution is the only derivation of dependent cells: the search
-engine compiles it, and ConstraintSystem.solve evaluates it for one
-basis.  Whether the resulting values form a normal square (range 1..n^2,
-no repeats) is checked by Square, not here.
+engine compiles each Dependency's integer_form into its plan, and a
+search pinned on every trial cell gives the one square of a basis, if
+any.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Sequence
+from functools import lru_cache
 
 from .squares import _tables, magic_constant
 
@@ -88,35 +87,6 @@ class ConstraintSystem:
     rank: int
     free_cells: tuple[int, ...]
     dependencies: tuple[Dependency, ...]
-
-    @cached_property
-    def _forms(self) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]:
-        # (cell, denominator, const numerator, terms) per dependency, made on
-        # the first solve so that build_system, which every run pays, does
-        # no more work.
-        return tuple((dep.cell, *dep.integer_form()) for dep in self.dependencies)
-
-    def solve(self, basis: Sequence[int]) -> tuple[int, ...]:
-        """Full grid from free-cell values, dependent cells by substitution.
-
-        Each dependency is evaluated exactly in its integer_form.  A
-        dependent cell that is not an integer (order 5 has dependents over
-        2) is a ValueError; values outside 1..n^2 or repeated are left to
-        Square.
-        """
-        if len(basis) != len(self.free_cells):
-            raise ValueError(
-                f"expected {len(self.free_cells)} basis values, got {len(basis)}"
-            )
-        grid = [0] * (self.order * self.order)
-        for cell, v in zip(self.free_cells, basis):
-            grid[cell] = v
-        for cell, den, const, terms in self._forms:
-            num = const + sum(k * grid[c] for c, k in terms)
-            if num % den:
-                raise ValueError(f"cell {cell} is {num}/{den}, not an integer")
-            grid[cell] = num // den
-        return tuple(grid)
 
 
 @lru_cache(maxsize=None)

@@ -68,7 +68,8 @@ class OrbitPartition:
         return sum(o.size for o in self.orbits)
 
     def generators(self) -> tuple[Square, ...]:
-        return tuple(sorted((o.generator for o in self.orbits), key=encode_square))
+        """Every orbit's generator; _grouped makes orbits in generator order."""
+        return tuple(o.generator for o in self.orbits)
 
 
 def _grouped(

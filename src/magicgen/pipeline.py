@@ -2,11 +2,10 @@
 
 Orders 3 and 4 run to completion on a desk.  The order-4 catalog is
 labelled from the Dudeney census partition, which already holds each
-square; DudeneyCensus.label_of classifies any magic square on its own.  Order
-5 is a long-running job: the pipeline checks a shard plan of disjoint
-subtrees, lays it out, and executes count-only shard jobs, skipping any
-shard whose count file already holds a well-formed count for the same
-prefix and trial cells.
+square.  Order 5 is a long-running job: the pipeline checks a shard plan
+of disjoint subtrees, lays it out, and executes count-only shard jobs,
+skipping any shard whose count file already holds a well-formed count
+for the same prefix and trial cells.
 Every order reports through report_data and emit_report, so `magicgen
 report` regenerates any run's summary from its report.json.
 
@@ -60,7 +59,7 @@ def classify_catalog(
 
     The census has already put each square in its class, so the label is
     looked up by cells, not recomputed; a square outside the census is a
-    ValueError (DudeneyCensus.label_of classifies any order-4 magic square).
+    ValueError.  This lookup is the package's one classification path.
     Broken diagonals are counted once, for the record and the VI split.
     """
     label_by_cells = {

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from math import isqrt
 from operator import add, itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 
 def magic_constant(n: int) -> int:
@@ -95,23 +95,6 @@ class Square:
             if seen & bit:
                 raise ValueError(f"cell {idx} repeats the value {v}")
             seen |= bit
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "Square":
-        grid = [list(r) for r in rows]
-        cells = tuple(v for row in grid for v in row)
-        return cls(len(grid), cells)
-
-    def at(self, r: int, c: int) -> int:
-        return self.cells[r * self.order + c]
-
-    def row(self, r: int) -> tuple[int, ...]:
-        n = self.order
-        return self.cells[r * n : (r + 1) * n]
-
-    def rows(self) -> Iterator[tuple[int, ...]]:
-        for r in range(self.order):
-            yield self.row(r)
 
 
 def encode_square(square: Square) -> str:
@@ -227,11 +210,6 @@ def _invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _compose_perm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # (p o q)(i) = p(q(i))
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
 @dataclass(frozen=True, slots=True)
 class Transformation:
     """Optional transpose, then a row permutation, then a column permutation.
@@ -267,27 +245,6 @@ class Transformation:
                 cinv[c] * n + rinv[r] for r in range(n) for c in range(n)
             )
         return tuple(rinv[r] * n + cinv[c] for r in range(n) for c in range(n))
-
-    def apply(self, square: Square) -> Square:
-        if square.order != self.order:
-            raise ValueError(
-                f"transformation acts on order {self.order}, square has order {square.order}"
-            )
-        src = square.cells
-        return Square(self.order, tuple(src[i] for i in self.cell_map()))
-
-    def after(self, first: "Transformation") -> "Transformation":
-        """Composite transformation: first `first`, then self."""
-        if first.order != self.order:
-            raise ValueError("cannot compose transformations of different orders")
-        if self.transposed:
-            # Transposing swaps the roles of the earlier row and column perms.
-            rp = _compose_perm(self.row_perm, first.col_perm)
-            cp = _compose_perm(self.col_perm, first.row_perm)
-        else:
-            rp = _compose_perm(self.row_perm, first.row_perm)
-            cp = _compose_perm(self.col_perm, first.col_perm)
-        return Transformation(rp, cp, self.transposed != first.transposed)
 
     def inverse(self) -> "Transformation":
         if self.transposed:

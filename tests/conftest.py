@@ -3,14 +3,23 @@ from __future__ import annotations
 import re
 from functools import cache
 from itertools import permutations
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 import pytest
 
-from magicgen.classifier import DudeneyCensus
+from magicgen.classifier import (
+    ClassLabel,
+    DudeneyCensus,
+    count_magic_broken_diagonals,
+    signature,
+    with_vi_split,
+)
+from magicgen.constraints import ConstraintSystem, build_system
 from magicgen.enumerator import iter_squares
 from magicgen.generators import census as generator_census
 from magicgen.groups import canonical_key
-from magicgen.squares import Square, encode_square
+from magicgen.squares import Square, Transformation, encode_square, is_normal_magic
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 
@@ -44,10 +53,178 @@ def is_least(cells: tuple[int, ...], n: int) -> bool:
     )
 
 
+def from_rows(rows: Iterable[Iterable[int]]) -> Square:
+    """The square whose rows, top to bottom, are the given ones."""
+    grid = [list(r) for r in rows]
+    return Square(len(grid), tuple(v for row in grid for v in row))
+
+
+def rows_of(square: Square) -> list[list[int]]:
+    n = square.order
+    return [list(square.cells[r * n : (r + 1) * n]) for r in range(n)]
+
+
+def at(square: Square, r: int, c: int) -> int:
+    return square.cells[r * square.order + c]
+
+
+def apply(t: Transformation, square: Square) -> Square:
+    """The image of a square under a transformation, through its cell map."""
+    if square.order != t.order:
+        raise ValueError(
+            f"transformation acts on order {t.order}, square has order {square.order}"
+        )
+    return Square(t.order, tuple(square.cells[i] for i in t.cell_map()))
+
+
+def _compose_perm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    # (p o q)(i) = p(q(i))
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def after(second: Transformation, first: Transformation) -> Transformation:
+    """Composite transformation: first `first`, then `second`."""
+    if first.order != second.order:
+        raise ValueError("cannot compose transformations of different orders")
+    if second.transposed:
+        # Transposing swaps the roles of the earlier row and column perms.
+        rp = _compose_perm(second.row_perm, first.col_perm)
+        cp = _compose_perm(second.col_perm, first.row_perm)
+    else:
+        rp = _compose_perm(second.row_perm, first.row_perm)
+        cp = _compose_perm(second.col_perm, first.col_perm)
+    return Transformation(rp, cp, second.transposed != first.transposed)
+
+
+def solve(system: ConstraintSystem, basis: Sequence[int]) -> tuple[int, ...]:
+    """Full grid from free-cell values, each dependency evaluated exactly.
+
+    The reference the engine's compiled plan is checked against: each
+    dependent cell is its integer_form, substituted on its own.  A
+    dependent cell that is not an integer (order 5 has dependents over 2)
+    is a ValueError; values outside 1..n^2 or repeated are left to Square.
+    """
+    if len(basis) != len(system.free_cells):
+        raise ValueError(
+            f"expected {len(system.free_cells)} basis values, got {len(basis)}"
+        )
+    grid = [0] * (system.order * system.order)
+    for cell, v in zip(system.free_cells, basis):
+        grid[cell] = v
+    for cell, den, const, terms in _integer_forms(system):
+        num = const + sum(k * grid[c] for c, k in terms)
+        if num % den:
+            raise ValueError(f"cell {cell} is {num}/{den}, not an integer")
+        grid[cell] = num // den
+    return tuple(grid)
+
+
+@cache
+def _integer_forms(system: ConstraintSystem):
+    """(cell, denominator, const numerator, terms) per dependency."""
+    return tuple((dep.cell, *dep.integer_form()) for dep in system.dependencies)
+
+
+def label_of(census: DudeneyCensus, square: Square) -> ClassLabel:
+    """Classify any order-4 magic square by its signature, VI split included.
+
+    The reference for the pipeline's census lookup (classify_catalog).  A
+    square that is not normal magic is a ValueError.
+    """
+    if not is_normal_magic(square):
+        raise ValueError(f"square {encode_square(square)} is not normal magic")
+    label = census.labels[signature(square)]
+    return with_vi_split(label, count_magic_broken_diagonals(square))
+
+
+FastKey = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+
+
+class FastClassifier:
+    """Basis-only classification via complement pairs among the free cells.
+
+    A reproduction of the supervised classifier the paper credits with
+    sorting the order-4 squares.  The free cells (a, b, c, e, f, g, i)
+    hold 7 of the 16 values; whenever both members of a complement pair
+    land on free cells, the pair's position geometry is visible without
+    deriving the dependent cells, and each remaining free cell still
+    reveals which complement pair its value belongs to.  A lookup table
+    from that partial view to the class label is learnt from labelled
+    squares; keys seen with more than one label are ambiguous (None), and
+    classify falls back to the full signature path for them and for keys
+    never seen.
+    """
+
+    def __init__(
+        self,
+        census: DudeneyCensus,
+        table: dict[FastKey, ClassLabel | None],
+    ) -> None:
+        self._census = census
+        self.table = table
+        self.fallbacks = 0
+
+    @classmethod
+    def train(
+        cls, census: DudeneyCensus, labelled: Iterable[tuple[Square, ClassLabel]]
+    ) -> "FastClassifier":
+        table: dict[FastKey, ClassLabel | None] = {}
+        basis_of = itemgetter(*build_system(4).free_cells)
+        for sq, label in labelled:
+            key = cls.basis_key(basis_of(sq.cells))
+            prior = table.get(key, label)
+            table[key] = label if prior == label else None
+        return cls(census, table)
+
+    @classmethod
+    def from_census(cls, census: DudeneyCensus) -> "FastClassifier":
+        """Trained on every square of the census."""
+        return cls.train(census, labelled_squares(census))
+
+    @staticmethod
+    def basis_key(basis: Sequence[int]) -> FastKey:
+        where = dict(zip(basis, build_system(4).free_cells))
+        pairs = []
+        unpaired = []
+        for v, pos in where.items():
+            mate = where.get(17 - v)
+            if mate is None:
+                unpaired.append((pos, min(v, 17 - v)))
+            elif v < 17 - v:
+                pairs.append((pos, mate) if pos < mate else (mate, pos))
+        pairs.sort()
+        unpaired.sort()
+        return tuple(pairs), tuple(unpaired)
+
+    def classify(self, basis: Sequence[int]) -> ClassLabel:
+        """Label for the square defined by the 7-value basis.
+
+        The dependent cells are always derived, so a basis that defines no
+        normal magic square is rejected; the full signature path runs only
+        when the partial scan is ambiguous or unseen.
+        """
+        try:
+            square = Square(4, solve(build_system(4), basis))
+        except ValueError as exc:
+            raise ValueError(f"basis does not define a magic square: {exc}") from None
+        label = self.table.get(self.basis_key(basis))
+        if label is None:
+            self.fallbacks += 1
+            return label_of(self._census, square)
+        return with_vi_split(label, count_magic_broken_diagonals(square))
+
+
+def labelled_squares(census: DudeneyCensus) -> list[tuple[Square, ClassLabel]]:
+    """Every census square with its class label (no VI split), class by class."""
+    return [
+        (sq, census.labels[cls.signature]) for cls in census.classes for sq in cls.members
+    ]
+
+
 def determinant(square: Square) -> int:
     """Exact integer determinant via fraction-free (Bareiss) elimination."""
     n = square.order
-    m = [list(square.row(r)) for r in range(n)]
+    m = rows_of(square)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -143,12 +320,12 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(scope="session")
 def lo_shu() -> Square:
-    return Square.from_rows([[4, 9, 2], [3, 5, 7], [8, 1, 6]])
+    return from_rows([[4, 9, 2], [3, 5, 7], [8, 1, 6]])
 
 
 @pytest.fixture(scope="session")
 def durer() -> Square:
-    return Square.from_rows(
+    return from_rows(
         [[16, 3, 2, 13], [5, 10, 11, 8], [9, 6, 7, 12], [4, 15, 14, 1]]
     )
 

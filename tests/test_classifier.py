@@ -9,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import FastClassifier, apply, label_of, labelled_squares
 
 from magicgen import classifier, pipeline
 from magicgen.classifier import (
@@ -19,7 +20,6 @@ from magicgen.classifier import (
     VI_SPLIT_BROKEN,
     VI_SPLIT_PLAIN,
     DudeneyCensus,
-    FastClassifier,
     assign_labels,
     count_magic_broken_diagonals,
     discover_classes,
@@ -51,7 +51,7 @@ def test_signature_invariant_under_grid_symmetries(durer, catalog4):
     for sq in sample:
         sig = signature(sq)
         for sym in grid_symmetries(4):
-            assert signature(sym.apply(sq)) == sig
+            assert signature(apply(sym, sq)) == sig
 
 
 def test_exactly_twelve_classes(census4):
@@ -169,11 +169,11 @@ def test_population_mismatch_rejected(census4):
 )
 def test_label_of_rejects_non_magic_squares(census4, text):
     with pytest.raises(ValueError, match="is not normal magic"):
-        census4.label_of(parse_square(text))
+        label_of(census4, parse_square(text))
 
 
 def test_durer_is_type_three(durer, census4, by_numeral):
-    label = census4.label_of(durer)
+    label = label_of(census4, durer)
     assert label.dudeney == "III"
     assert label.trigg == "A"
     assert label.vi_split is None
@@ -200,7 +200,7 @@ def test_pandiagonal_set_is_exactly_one_384_class(catalog4, census4):
 class TestTypeVISplit:
     def test_partition_of_class_vi(self, census4, by_numeral):
         vi = by_numeral["VI"]
-        splits = Counter(census4.label_of(sq).vi_split for sq in vi.members)
+        splits = Counter(label_of(census4, sq).vi_split for sq in vi.members)
         assert splits[VI_SPLIT_PLAIN] + splits[VI_SPLIT_BROKEN] == 2432
         assert splits[VI_SPLIT_BROKEN] == 960
         assert splits[VI_SPLIT_PLAIN] == 1472
@@ -213,36 +213,37 @@ class TestTypeVISplit:
                 if count_magic_broken_diagonals(sq)
                 else VI_SPLIT_PLAIN
             )
-            assert census4.label_of(sq).vi_split == expected
+            assert label_of(census4, sq).vi_split == expected
 
     def test_label_of_attaches_split(self, census4, by_numeral):
         vi = by_numeral["VI"]
-        label = census4.label_of(vi.members[0])
+        label = label_of(census4, vi.members[0])
         assert label.dudeney == "VI"
         assert label.vi_split in (VI_SPLIT_PLAIN, VI_SPLIT_BROKEN)
 
 
-class TestFastClassifier:
-    def test_import_builds_no_constraint_system(self):
-        # The free cells are read on first use, not when magicgen is imported.
-        src = Path(classifier.__file__).parents[1]
-        code = "import magicgen; print(magicgen.build_system.cache_info().misses)"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert done.stdout == "0\n"
+def test_import_builds_no_constraint_system():
+    # The free cells are read on first use, not when magicgen is imported.
+    src = Path(classifier.__file__).parents[1]
+    code = "import magicgen; print(magicgen.build_system.cache_info().misses)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "0\n"
 
+
+class TestFastClassifier:
     def test_durer_basis_agrees_with_full_path(self, durer, census4):
         fc = FastClassifier.from_census(census4)
-        assert fc.classify(DURER_BASIS) == census4.label_of(durer)
+        assert fc.classify(DURER_BASIS) == label_of(census4, durer)
 
     def test_agrees_on_all_squares(self, catalog4, census4):
         fc = FastClassifier.from_census(census4)
         disagreements = 0
         for sq in catalog4:
             basis = [sq.cells[c] for c in FREE_CELLS]
-            if fc.classify(basis) != census4.label_of(sq):
+            if fc.classify(basis) != label_of(census4, sq):
                 disagreements += 1
         assert disagreements == 0
         # The partial scan is undecidable for a small minority; those must
@@ -260,12 +261,50 @@ class TestFastClassifier:
             fc.classify((1, 2, 3))
 
 
+# The basis-only classifier trained on the catalog, in iter_squares order,
+# shuffled by random.Random(seed), first percent/100 of it: its table
+# lookups of the other squares as (right, wrong, key unseen, key ambiguous).
+# Unseen and ambiguous keys are what classify sends to the signature path.
+HELD_OUT = {
+    (10, 1): (2186, 16, 4132, 2),
+    (10, 2): (2218, 18, 4098, 2),
+    (10, 3): (2258, 18, 4058, 2),
+    (50, 1): (2807, 24, 676, 13),
+    (50, 2): (2769, 22, 714, 15),
+    (50, 3): (2807, 12, 678, 23),
+    (75, 1): (1611, 10, 126, 13),
+    (75, 2): (1608, 8, 128, 16),
+    (75, 3): (1593, 8, 146, 13),
+}
+
+
+@pytest.mark.parametrize("percent, seed", sorted(HELD_OUT))
+def test_fast_classifier_on_held_out_squares(catalog4, census4, percent, seed):
+    label = {sq.cells: lab for sq, lab in labelled_squares(census4)}
+    pool = [(sq, label[sq.cells]) for sq in catalog4]
+    random.Random(seed).shuffle(pool)
+    cut = len(pool) * percent // 100
+    fc = FastClassifier.train(census4, pool[:cut])
+    outcomes = Counter()
+    for sq, truth in pool[cut:]:
+        key = fc.basis_key([sq.cells[c] for c in FREE_CELLS])
+        if key not in fc.table:
+            outcomes["unseen"] += 1
+        elif fc.table[key] is None:
+            outcomes["ambiguous"] += 1
+        else:
+            outcomes["right" if fc.table[key] == truth else "wrong"] += 1
+    counts = tuple(outcomes[k] for k in ("right", "wrong", "unseen", "ambiguous"))
+    assert counts == HELD_OUT[percent, seed]
+    assert sum(counts) == 7040 - cut
+
+
 class TestClassifyCatalog:
     def test_records_match_label_of(self, catalog4, census4):
         records = classify_catalog(catalog4, census4)
         assert [r.line for r in records] == list(range(len(catalog4)))
         for sq, rec in zip(catalog4, records):
-            label = census4.label_of(sq)
+            label = label_of(census4, sq)
             assert rec.square == sq
             assert (rec.dudeney, rec.trigg, rec.vi_split) == (
                 label.dudeney,

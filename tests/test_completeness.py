@@ -15,6 +15,7 @@ import random
 from itertools import islice, permutations
 
 import pytest
+from conftest import solve
 
 from magicgen.constraints import build_system
 from magicgen.enumerator import count_squares, iter_squares, shard_for, trial_cells
@@ -44,7 +45,7 @@ def brute_force_completions(n: int, prefix: tuple[int, ...]) -> list[tuple[int, 
     for tail in permutations(rest, len(trials) - len(prefix)):
         values = dict(zip(trials, prefix + tail))
         try:
-            cells = system.solve([values[c] for c in system.free_cells])
+            cells = solve(system, [values[c] for c in system.free_cells])
         except ValueError:  # a dependent cell that is not an integer
             continue
         if set(cells) == full and _is_magic_grid(cells, n):

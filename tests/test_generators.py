@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from conftest import universe, verify_partition
+from conftest import apply, universe, verify_partition
 
 from magicgen import generators
 from magicgen.classifier import ClassLabel, DudeneyCensus
@@ -10,6 +10,7 @@ from magicgen.generators import (
     REFERENCE_HISTOGRAMS,
     OrbitPartition,
     census,
+    class_census,
     decompose,
     symmetric_closure_partition,
 )
@@ -37,6 +38,18 @@ def test_order3_single_orbit(all3, partition3):
 
 def test_order3_verifies(all3, partition3):
     assert verify_partition(partition3, all3) == ()
+
+
+def test_orbits_come_in_generator_order(all3, gencensus4):
+    # generators() returns the orbits' generators as they stand, so every
+    # class partition must hold its orbits in strictly ascending generator
+    # encoding.
+    classes = [class_census("order3", all3, "order3"), *gencensus4.classes]
+    for cls in classes:
+        for partition in (cls.group_partition, cls.closure_partition):
+            encodings = [encode_square(o.generator) for o in partition.orbits]
+            assert all(a < b for a, b in zip(encodings, encodings[1:]))
+            assert partition.generators() == tuple(o.generator for o in partition.orbits)
 
 
 class TestCensus:
@@ -120,7 +133,7 @@ class TestPeelingOrderIndependence:
         backward_orbits = set()
         while remaining:
             sq = max(remaining.values(), key=encode_square)
-            orb = frozenset(t.apply(sq).cells for t in group.members)
+            orb = frozenset(apply(t, sq).cells for t in group.members)
             backward_orbits.add(orb)
             for cells in orb:
                 del remaining[cells]
