@@ -7,7 +7,6 @@ from .squares import (
     broken_diagonal_sums,
     encode_square,
     grid_symmetries,
-    identity_transformation,
     is_normal_magic,
     magic_constant,
     parse_square,
@@ -81,7 +80,6 @@ __all__ = [
     "encode_square",
     "enumerate_shards_parallel",
     "grid_symmetries",
-    "identity_transformation",
     "is_normal_magic",
     "iter_squares",
     "magic_constant",

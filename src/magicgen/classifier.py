@@ -51,7 +51,6 @@ TRIGG_OF_DUDENEY: dict[str, str] = (
 
 # Class populations as first counted by Dudeney (1917).
 DUDENEY_POPULATIONS = (384, 384, 384, 768, 768, 2432, 448, 448, 448, 448, 64, 64)
-TRIGG_POPULATIONS = {"A": 1152, "B": 3968, "C": 1792, "D": 128}
 
 VI_SPLIT_PLAIN = "VI'"
 VI_SPLIT_BROKEN = "VI''"

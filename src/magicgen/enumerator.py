@@ -375,6 +375,8 @@ def _iter_generic(
                     return
                 bad |= used >> base if base > 0 else used << -base
             elif m == -1:
+                if base < 2:  # base - v >= 1 has no solution in v >= 1
+                    return
                 if not base & 1:
                     bad |= 1 << (base >> 1)
                 shift = mirror - base

@@ -103,7 +103,9 @@ def attach_orbits(
     ]
 
 
-def _histogram_str(hist: dict[int, int]) -> str:
+def _histogram_str(hist: dict) -> str:
+    # Sizes are ints in memory and strings once read back from JSON; both
+    # print alike.
     return ",".join(f"{size}:{count}" for size, count in hist.items()) or "-"
 
 
@@ -178,11 +180,6 @@ def report_data(
     return data
 
 
-def _as_hist(raw: dict) -> dict[int, int]:
-    # JSON round-trips turn int keys into strings; normalize either form.
-    return {int(k): v for k, v in raw.items()}
-
-
 def emit_report(data: dict) -> str:
     """Human-readable summary from the machine-readable report data."""
     order = data["order"]
@@ -208,7 +205,7 @@ def emit_report(data: dict) -> str:
         for letter, cls in data["classes"].items():
             hist = ", ".join(
                 f"{cnt} of size {size}"
-                for size, cnt in _as_hist(cls["closure_orbit_histogram"]).items()
+                for size, cnt in cls["closure_orbit_histogram"].items()
             )
             lines.append(
                 f"    class {letter}: population {cls['population']}, "
@@ -220,7 +217,7 @@ def emit_report(data: dict) -> str:
                     for s in cls["subgroup_split"]
                 )
                 lines.append(f"      subsets: {split}")
-            group_hist = _histogram_str(_as_hist(cls["group_orbit_histogram"]))
+            group_hist = _histogram_str(cls["group_orbit_histogram"])
             lines.append(
                 f"      class symmetry group: {cls['group_order']} triples "
                 f"({cls['pair_view_order']} full pairs), "

@@ -246,20 +246,6 @@ class Transformation:
             )
         return tuple(rinv[r] * n + cinv[c] for r in range(n) for c in range(n))
 
-    def inverse(self) -> "Transformation":
-        if self.transposed:
-            return Transformation(
-                _invert_perm(self.col_perm), _invert_perm(self.row_perm), True
-            )
-        return Transformation(
-            _invert_perm(self.row_perm), _invert_perm(self.col_perm), False
-        )
-
-
-def identity_transformation(n: int) -> Transformation:
-    ident = tuple(range(n))
-    return Transformation(ident, ident, False)
-
 
 def grid_symmetries(n: int) -> tuple[Transformation, ...]:
     """The 8 dihedral symmetries of the n x n grid as transformations."""

@@ -23,6 +23,9 @@ from magicgen.squares import Square, Transformation, encode_square, is_normal_ma
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 
+# Trigg class populations: the sums of their Dudeney classes' populations.
+TRIGG_POPULATIONS = {"A": 1152, "B": 3968, "C": 1792, "D": 128}
+
 
 @cache
 def universe(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...]:
@@ -94,6 +97,22 @@ def after(second: Transformation, first: Transformation) -> Transformation:
         rp = _compose_perm(second.row_perm, first.row_perm)
         cp = _compose_perm(second.col_perm, first.col_perm)
     return Transformation(rp, cp, second.transposed != first.transposed)
+
+
+def identity_transformation(n: int) -> Transformation:
+    ident = tuple(range(n))
+    return Transformation(ident, ident, False)
+
+
+def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+def inverse(t: Transformation) -> Transformation:
+    """The transformation undoing t: its inverse perms, swapped if t transposes."""
+    if t.transposed:
+        return Transformation(_invert(t.col_perm), _invert(t.row_perm), True)
+    return Transformation(_invert(t.row_perm), _invert(t.col_perm), False)
 
 
 def solve(system: ConstraintSystem, basis: Sequence[int]) -> tuple[int, ...]:

@@ -31,11 +31,13 @@ from itertools import permutations
 
 import pytest
 from conftest import (
+    TRIGG_POPULATIONS,
     FastClassifier,
     after,
     apply,
     at,
     determinant,
+    inverse,
     label_of,
     solve,
     verify_partition,
@@ -44,7 +46,6 @@ from conftest import (
 from magicgen.catalog import catalog_text
 from magicgen.classifier import (
     DUDENEY_POPULATIONS,
-    TRIGG_POPULATIONS,
     count_magic_broken_diagonals,
     signature,
 )
@@ -245,7 +246,7 @@ def test_criterion_07_order3_orbit_decomposition():
     members = set(group.members)
     assert len(members) == 8
     for t in members:
-        assert t.inverse() in members
+        assert inverse(t) in members
         for s in members:
             assert after(t, s) in members
     partition = decompose(squares, group, "order3")

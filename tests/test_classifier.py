@@ -9,14 +9,19 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import FastClassifier, apply, label_of, labelled_squares
+from conftest import (
+    TRIGG_POPULATIONS,
+    FastClassifier,
+    apply,
+    label_of,
+    labelled_squares,
+)
 
 from magicgen import classifier, pipeline
 from magicgen.classifier import (
     DUDENEY_POPULATIONS,
     ROMAN,
     TRIGG_OF_DUDENEY,
-    TRIGG_POPULATIONS,
     VI_SPLIT_BROKEN,
     VI_SPLIT_PLAIN,
     DudeneyCensus,

@@ -117,6 +117,17 @@ def test_depth8_order5_pruning_does_not_weaken(monkeypatch):
     assert entered <= DEPTH8_LEVELS_ENTERED
 
 
+def test_unit_dependent_with_a_base_below_two_yields_nothing(monkeypatch):
+    # Level 2's dependent is base - v with m = -1.  A constant of 0 makes
+    # its base -(a + b), which no v >= 1 can lift to 1, and an even
+    # negative base once broke the mask with a negative shift count.
+    plan = _plan(4)
+    patched = dataclasses.replace(plan, bases0=plan.bases0[:-1] + (0,))
+    assert patched.forced[2][0][2] == -1
+    monkeypatch.setattr(enumerator, "_plan", lambda n: patched)
+    assert list(_iter_generic(4, ())) == []
+
+
 def test_order3_matches_brute_force_oracle():
     brute = {
         p for p in permutations(range(1, 10)) if _is_magic_grid(p, 3)

@@ -4,7 +4,7 @@ import random
 from itertools import islice
 
 import pytest
-from conftest import after, apply, from_rows, universe
+from conftest import after, apply, from_rows, identity_transformation, inverse, universe
 
 from magicgen import groups
 from magicgen.enumerator import iter_squares
@@ -15,7 +15,6 @@ from magicgen.squares import (
     Transformation,
     encode_square,
     grid_symmetries,
-    identity_transformation,
     is_normal_magic,
     parse_square,
 )
@@ -75,7 +74,7 @@ class TestSymmetryGroup:
     def test_group_axioms_hold(self, group3):
         members = set(group3.members)
         for t in members:
-            assert t.inverse() in members
+            assert inverse(t) in members
             for s in members:
                 assert after(t, s) in members
 
@@ -111,6 +110,29 @@ class TestSymmetryGroup:
             lambda index, n: [t for t in candidates(index, n) if t != half_turn],
         )
         with pytest.raises(GroupClosureError, match="composition"):
+            symmetry_group(all3)
+
+    @pytest.mark.parametrize(
+        "dropped, message",
+        [
+            # Without the identity, a quarter-turn after its inverse is missing.
+            ((0,), "composition"),
+            # The remaining quarter-turn's inverse is the dropped one.
+            ((1,), "composition"),
+            (tuple(range(8)), "no triple survived filtering"),
+        ],
+    )
+    def test_closure_alone_rejects_a_missing_identity_or_inverse(
+        self, all3, monkeypatch, dropped, message
+    ):
+        gone = {grid_symmetries(3)[i] for i in dropped}
+        candidates = groups._candidates
+        monkeypatch.setattr(
+            groups,
+            "_candidates",
+            lambda index, n: [t for t in candidates(index, n) if t not in gone],
+        )
+        with pytest.raises(GroupClosureError, match=message):
             symmetry_group(all3)
 
     def test_orbit_escape_filters_a_closed_survivor_set(self, catalog4):

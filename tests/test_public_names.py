@@ -32,38 +32,102 @@ def _methods(node: ast.ClassDef) -> set[str]:
     return {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
 
 
-def _uses(source: str) -> tuple[set[str], set[str]]:
-    """Names and attributes a module reads outside the def or class binding each.
+def _sources(folder: Path, package: str, skip: str = "") -> dict[str, str]:
+    """Module name -> source for each module of a package folder."""
+    return {
+        package if p.stem == "__init__" else f"{package}.{p.stem}": p.read_text()
+        for p in sorted(folder.glob("*.py"))
+        if p.name != skip
+    }
 
-    A name is used where it is read or deleted (assigning one binds it) as
-    a name or an attribute, named by a string constant that is an
-    identifier, or imported under an alias.  The attributes are those read
-    or deleted.  A class binds its methods, so one read only through self
-    inside its own class is not among them.
+
+# What a name is bound to: a module's dotted name, or a (module, name) pair.
+Ref = str | tuple[str, str]
+
+
+def _bindings(sources: dict[str, str]) -> dict[str, dict[str, Ref]]:
+    """Per module, what each name it imports is bound to.
+
+    `import a.b` binds a to module a, `import a.b as c` binds c to module
+    a.b, and `from a import b` binds b to module a.b if that is one of the
+    sources, else to the pair (a, b).  Relative imports are resolved
+    against the importing module's package.
     """
-    names: set[str] = set()
+    bound: dict[str, dict[str, Ref]] = {}
+    for module, source in sources.items():
+        is_package = any(m.startswith(module + ".") for m in sources)
+        package = module if is_package else module.rpartition(".")[0]
+        names = bound[module] = {}
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    top = alias.name.partition(".")[0]
+                    names[alias.asname or top] = alias.name if alias.asname else top
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    parent = package.rsplit(".", node.level - 1)[0]
+                    base = f"{parent}.{base}" if base else parent
+                for alias in node.names:
+                    full = f"{base}.{alias.name}"
+                    names[alias.asname or alias.name] = (
+                        full if full in sources else (base, alias.name)
+                    )
+    return bound
+
+
+def _resolve(ref: Ref, bound: dict[str, dict[str, Ref]]) -> Ref:
+    """Follow a (module, name) pair through imports to the module defining it."""
+    while isinstance(ref, tuple) and bound.get(ref[0], {}).get(ref[1], ref) != ref:
+        ref = bound[ref[0]][ref[1]]
+    return ref
+
+
+def _reached(
+    calling: dict[str, str], bound: dict[str, dict[str, Ref]]
+) -> tuple[set[tuple[str, str]], set[str]]:
+    """The (module, name) pairs the calling modules read, and the attributes.
+
+    A name read in a module is that module's own unless an import binds
+    it; an imported one is followed to the module defining it, and an
+    attribute read on a module (or on the package) is that module's name.
+    A read inside the def or class binding the name does not count, and a
+    class binds its methods, so one read only through self inside its own
+    class is not among the attributes.  Strings never count.
+    """
+
+    def target(node: ast.AST, module: str) -> Ref | None:
+        if isinstance(node, ast.Name):
+            return _resolve(bound[module].get(node.id, (module, node.id)), bound)
+        if isinstance(node, ast.Attribute):
+            owner = target(node.value, module)
+            if isinstance(owner, str):
+                full = f"{owner}.{node.attr}"
+                return full if full in bound else _resolve((owner, node.attr), bound)
+        return None
+
+    names: set[tuple[str, str]] = set()
     attributes: set[str] = set()
 
-    def visit(node: ast.AST, enclosing: frozenset[str]) -> None:
+    def visit(node: ast.AST, module: str, enclosing: frozenset[str]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             enclosing |= {node.name}
         if isinstance(node, ast.ClassDef):
             enclosing |= _methods(node)
-        name = getattr(node, "id", None) or getattr(node, "attr", None)
-        if isinstance(getattr(node, "ctx", None), ast.Store):
-            name = None
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            name = node.value if node.value.isidentifier() else None
-        if isinstance(node, ast.alias) and node.asname:
-            name = node.name
-        if name and name not in enclosing:
-            names.add(name)
-            if isinstance(node, ast.Attribute):
-                attributes.add(name)
+        read = isinstance(node, (ast.Name, ast.Attribute))
+        if read and not isinstance(node.ctx, ast.Store):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in enclosing:
+                ref = target(node, module)
+                if isinstance(ref, tuple):
+                    names.add(ref)
+                if isinstance(node, ast.Attribute):
+                    attributes.add(name)
         for child in ast.iter_child_nodes(node):
-            visit(child, enclosing)
+            visit(child, module, enclosing)
 
-    visit(ast.parse(source), frozenset())
+    for module, source in calling.items():
+        visit(ast.parse(source), module, frozenset())
     return names, attributes
 
 
@@ -82,39 +146,44 @@ def _public_definitions(source: str) -> set[str]:
     return {name for name in names if not name.rpartition(".")[2].startswith("_")}
 
 
-def _unused(defining: list[str], calling: list[str], traced: set[str]) -> set[str]:
-    """Public names and members of the defining sources that nothing uses.
+def _unused(
+    defining: dict[str, str], calling: dict[str, str], traced: set[tuple[str, str]]
+) -> set[str]:
+    """Public names and members of the defining modules that nothing uses.
 
-    A module-level name counts as used when a calling source uses it; a
-    member, when a calling source reads it as an attribute or it is one of
-    the traced attribute names.
+    A module-level name counts as used where a calling module reaches it
+    or a traced (module, attribute) pair names it; a member, when a
+    calling module reads it as an attribute or a traced
+    (module:Class, attribute) pair names it.  Each is given as
+    module.name.
     """
-    names: set[str] = set()
-    members = set(traced)
-    for source in calling:
-        used, attributes = _uses(source)
-        names |= used
-        members |= attributes
-    public = set().union(*map(_public_definitions, defining))
+    bound = _bindings(defining | calling)
+    names, members = _reached(calling, bound)
+    for owner, attr in traced:
+        if ":" in owner:
+            members.add(attr)
+        else:
+            names.add(_resolve((owner, attr), bound))
     return {
-        name
-        for name in public
-        if (name.partition(".")[2] not in members if "." in name else name not in names)
+        f"{module}.{name}"
+        for module, source in defining.items()
+        for name in _public_definitions(source)
+        if (
+            name.partition(".")[2] not in members
+            if "." in name
+            else (module, name) not in names
+        )
     }
 
 
 def test_every_export_has_a_caller_outside_the_tests():
-    defining = [p.read_text() for p in PACKAGE.glob("*.py")]
-    calling = [p.read_text() for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    calling += [
-        p.read_text()
-        for p in (ROOT / "perfbench").glob("*.py")
-        if p.name != "test_perfbench.py"
-    ]
-    public = set().union(*map(_public_definitions, defining))
+    defining = _sources(PACKAGE, "magicgen")
+    calling = {m: source for m, source in defining.items() if m != "magicgen"}
+    calling |= _sources(ROOT / "perfbench", "perfbench", skip="test_perfbench.py")
+    public = set().union(*map(_public_definitions, defining.values()))
     assert {"write_catalog", "SUPPORTED_ORDERS", "DudeneyCensus.from_catalog"} <= public
     assert set(magicgen.__all__) <= public
-    traced = {attr for _, attr, _, _ in PIPELINE_TARGETS + LIBRARY_TARGETS}
+    traced = {(owner, attr) for owner, attr, _, _ in PIPELINE_TARGETS + LIBRARY_TARGETS}
     assert _unused(defining, calling, traced) == set()
 
 
@@ -145,6 +214,9 @@ class Box:
 """
 
 BOX_CALLER = """
+from box import Box
+
+
 def grown_area(size):
     return Box(size).grow().area
 """
@@ -153,12 +225,51 @@ def grown_area(size):
 def test_member_scan_flags_a_method_read_only_inside_its_class():
     # The caller reads grow and the property area as attributes and the
     # tracer names traced; shrink is read only through self.
-    assert _unused([BOX], [BOX, BOX_CALLER], {"traced"}) == {"Box.shrink"}
+    calling = {"box": BOX, "caller": BOX_CALLER}
+    assert _unused({"box": BOX}, calling, {("box:Box", "traced")}) == {"box.Box.shrink"}
     # Without them nothing is read from outside the class.  The dunder
     # __len__ and the dataclass field size are never checked.
     everything = {"Box", "Box.grow", "Box.shrink", "Box.area", "Box.traced"}
     assert _public_definitions(BOX) == everything
-    assert _unused([BOX], [BOX], set()) == everything
+    assert _unused({"box": BOX}, {"box": BOX}, set()) == {f"box.{n}" for n in everything}
+
+
+LIMITS = """
+LIMIT = 3
+
+
+def helper():
+    return 1
+"""
+
+OTHER = """
+LIMIT = 4
+
+
+def report():
+    return {"helper": LIMIT}
+"""
+
+CALLERS = {
+    # An imported name counts once it is read, and an attribute read on a
+    # module counts too; LIMIT is imported but never read.
+    "pkg.absolute": "from pkg.limits import helper\n\nhelper()\n",
+    "pkg.relative": "from . import other\nfrom .limits import LIMIT\n\nother.report()\n",
+}
+
+
+def test_a_name_counts_only_where_it_is_reached():
+    modules = {"pkg.limits": LIMITS, "pkg.other": OTHER}
+    # other reads its own LIMIT and names helper in a string: neither
+    # reaches limits' names.
+    unreached = {"pkg.limits.LIMIT", "pkg.limits.helper", "pkg.other.report"}
+    assert _unused(modules, modules, set()) == unreached
+    assert _unused(modules, modules | CALLERS, set()) == {"pkg.limits.LIMIT"}
+    traced = {("pkg.other", "report")}
+    assert _unused(modules, modules, traced) == unreached - {"pkg.other.report"}
+    # An attribute read on the package reaches the module it re-exports from.
+    package = {"pkg": "from .limits import helper\n", "pkg.main": "import pkg\n\npkg.helper()\n"}
+    assert _unused({"pkg.limits": LIMITS}, package, set()) == {"pkg.limits.LIMIT"}
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,16 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import after, apply, at, determinant, from_rows, rows_of
+from conftest import (
+    after,
+    apply,
+    at,
+    determinant,
+    from_rows,
+    identity_transformation,
+    inverse,
+    rows_of,
+)
 
 from magicgen.squares import (
     Square,
@@ -18,7 +27,6 @@ from magicgen.squares import (
     broken_diagonal_sums,
     encode_square,
     grid_symmetries,
-    identity_transformation,
     is_normal_magic,
     magic_constant,
     parse_square,
@@ -351,7 +359,7 @@ class TestTransformation:
         for _ in range(50):
             sq = random_square(rng, 4)
             t = random_transformation(rng, 4)
-            assert apply(t.inverse(), apply(t, sq)) == sq
+            assert apply(inverse(t), apply(t, sq)) == sq
 
     def test_composition_matches_sequential_application(self):
         rng = random.Random(29)
@@ -399,7 +407,7 @@ def test_grid_symmetries_form_dihedral_group():
     assert len(set(syms)) == 8
     table = set(syms)
     for a in syms:
-        assert a.inverse() in table
+        assert inverse(a) in table
         for b in syms:
             assert after(a, b) in table
 
