@@ -5,15 +5,16 @@ link between the two grid positions of each pair gives a diagram whose
 orientation-independent shape is the square's Dudeney type; exactly 12
 shapes occur across the 7040 squares.  The classifier canonicalizes that
 pair geometry (minimum encoding over the 8 grid symmetries), discovers
-the 12 classes from a full catalog, and names them:
+the 12 classes from a full catalog through groups._grouped, the grouping
+pass behind every partition of squares, and names them:
 
 * Trigg letters follow class population: the three 384-classes are A,
   {768, 768, 2432} are B, the four 448-classes are C, the two 64-classes
   are D.
 * Dudeney numerals I..XII order population groups as above; within a
-  same-population group, classes are sorted by their smallest member's
-  canonical text encoding.  Downstream results do not depend on the
-  within-group order.
+  same-population group, classes keep the grouping pass's order, that of
+  their smallest member's canonical text encoding.  Downstream results
+  do not depend on the within-group order.
 * Class VI (the 2432 class) splits VI''/VI' by whether some broken
   diagonal sums to 34.
 
@@ -25,15 +26,15 @@ classifier is reproduced, with held-out figures, in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+from .groups import _grouped
 from .squares import (
     Square,
+    _tables,
     broken_diagonal_sums,
     encode_square,
-    grid_symmetries,
     is_normal_magic,
     magic_constant,
 )
@@ -71,7 +72,7 @@ class ClassLabel:
 # their cell maps as "cell i moves to map[i]" gives the same 8 images.
 _PAIR_IMAGES4 = tuple(
     [tuple(sorted((m[a], m[b]))) for a in range(16) for b in range(16)]
-    for m in (t.cell_map() for t in grid_symmetries(4))
+    for m in (image(range(16)) for image in _tables(4).dihedral)
 )
 
 
@@ -92,6 +93,8 @@ def count_magic_broken_diagonals(square: Square) -> int:
 
 @dataclass(frozen=True)
 class SignatureClass:
+    """One signature's squares, in ascending encoding order."""
+
     signature: PairingSignature
     members: tuple[Square, ...]
 
@@ -99,50 +102,40 @@ class SignatureClass:
     def population(self) -> int:
         return len(self.members)
 
-    @cached_property
-    def min_encoding(self) -> str:
-        return min(encode_square(sq) for sq in self.members)
-
 
 def discover_classes(catalog: Iterable[Square]) -> tuple[SignatureClass, ...]:
     """Partition a complete order-4 catalog by signature.
 
-    Returns the classes sorted by their smallest member encoding.  Raises
+    Returns the classes in ascending order of their first (smallest)
+    member's encoding, each listing its members in encoding order.  Raises
     if the catalog is not the full census: a repeated or non-magic square,
     or other than 7040 squares in 12 classes.
 
     A signature is a minimum over the grid symmetries, so it is computed
-    once per dihedral orbit and given to all 8 images.
+    once per dihedral orbit and given to all 8 images.  Those images are
+    magic whenever the square is, so checking the squares that get labelled
+    checks them all.
     """
-    buckets: dict[PairingSignature, list[Square]] = {}
-    seen: set[tuple[int, ...]] = set()
-    signature_of: dict[tuple[int, ...], PairingSignature] = {}
-    images = [itemgetter(*t.cell_map()) for t in grid_symmetries(4)]
-    for sq in catalog:
-        if sq.cells in seen:
-            raise ValueError(f"catalog repeats the square {encode_square(sq)}")
+
+    def label(sq: Square) -> tuple[PairingSignature, list[tuple[int, ...]]]:
         if not is_normal_magic(sq):
             raise ValueError(f"catalog holds a non-magic square {encode_square(sq)}")
-        seen.add(sq.cells)
-        sig = signature_of.get(sq.cells)
-        if sig is None:
-            sig = signature(sq)
-            signature_of.update((image(sq.cells), sig) for image in images)
-        buckets.setdefault(sig, []).append(sq)
-    total = len(seen)
+        return signature(sq), [image(sq.cells) for image in _tables(4).dihedral]
+
+    buckets = _grouped(catalog, label, "catalog")
+    total = sum(map(len, buckets.values()))
     if total != 7040:
         raise ValueError(f"incomplete catalog: {total} squares, expected 7040")
     if len(buckets) != 12:
         raise ValueError(f"expected 12 signature classes, found {len(buckets)}")
-    classes = [SignatureClass(sig, tuple(members)) for sig, members in buckets.items()]
-    classes.sort(key=lambda c: c.min_encoding)
-    return tuple(classes)
+    return tuple(SignatureClass(sig, tuple(members)) for sig, members in buckets.items())
 
 
 def assign_labels(
     classes: Sequence[SignatureClass],
 ) -> dict[PairingSignature, ClassLabel]:
-    """Name the 12 discovered classes (population groups, then smallest member)."""
+    """Name the 12 discovered classes: population groups, then input order
+    (discover_classes' smallest-member order, as the numerals require)."""
     observed = sorted(c.population for c in classes)
     if observed != sorted(DUDENEY_POPULATIONS):
         raise ValueError(
@@ -151,8 +144,6 @@ def assign_labels(
     by_pop: dict[int, list[SignatureClass]] = {}
     for cls in classes:
         by_pop.setdefault(cls.population, []).append(cls)
-    for group in by_pop.values():
-        group.sort(key=lambda c: c.min_encoding)
 
     ordered = by_pop[384] + by_pop[768] + by_pop[2432] + by_pop[448] + by_pop[64]
     labels: dict[PairingSignature, ClassLabel] = {}

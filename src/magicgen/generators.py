@@ -2,9 +2,10 @@
 
 Each orbit's generator is its member with the smallest encode_square
 text, and a partition lists its orbits in generator order.  Both
-decompositions below are one grouping pass that files the subject's
-squares under a label in ascending encoding order, so each orbit's first
-square is its generator.  They differ only in the label:
+decompositions below go through groups._grouped, the grouping pass that
+also files the Dudeney classes: it takes the subject's squares in
+ascending encoding order, so each orbit's first square is its generator.
+They differ only in the label, computed once per orbit it names:
 
 * decompose(): orbits of the class's own symmetry group (the triples
   preserving the class as a set).  Self-contained and self-certifying,
@@ -34,11 +35,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .classifier import DudeneyCensus
-from .groups import Orbit, TransformationGroup, canonical_key, symmetry_group
-from .squares import Square, encode_square, grid_symmetries
+from .groups import Orbit, TransformationGroup, _grouped, canonical_key, symmetry_group
+from .squares import Square, _tables, encode_square
 
 # Published census targets: orbit-size histogram under symmetric closure
 # per class letter (the four order-4 Trigg classes, and "order3", the
@@ -68,28 +69,15 @@ class OrbitPartition:
         return sum(o.size for o in self.orbits)
 
     def generators(self) -> tuple[Square, ...]:
-        """Every orbit's generator; _grouped makes orbits in generator order."""
+        """Every orbit's generator; orbits come in generator order."""
         return tuple(o.generator for o in self.orbits)
 
 
-def _grouped(
-    subject: Iterable[Square],
-    label: Callable[[Square], Hashable],
-    subject_name: str,
+def _partition(
+    subject: Iterable[Square], label: Callable, subject_name: str
 ) -> OrbitPartition:
-    """The subject's squares grouped by label, one orbit per label.
-
-    Squares are taken in ascending encoding order, so each orbit's first
-    square is its generator and orbits come in generator order.  A
-    repeated square raises ValueError.
-    """
-    parts: dict[Hashable, list[Square]] = {}
-    previous = None
-    for sq in sorted(subject, key=encode_square):
-        if sq.cells == previous:
-            raise ValueError(f"subject repeats the square {encode_square(sq)}")
-        previous = sq.cells
-        parts.setdefault(label(sq), []).append(sq)
+    """The subject's label parts as orbits, each led by its first square."""
+    parts = _grouped(subject, label, "subject")
     if not parts:
         raise ValueError("subject is empty")
     orbits = (Orbit(frozenset(members), members[0]) for members in parts.values())
@@ -107,20 +95,18 @@ def decompose(
     every group member, and its images are labelled with it.  The subject
     must be exactly the set the group was built over.
     """
-    label_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    maps = [itemgetter(*t.cell_map()) for t in group.members]
 
-    def label(sq: Square) -> tuple[int, ...]:
+    def label(sq: Square) -> tuple[tuple[int, ...], set[tuple[int, ...]]]:
         src = sq.cells
-        if src not in label_of:
-            if src not in group.subject:
-                raise ValueError("subject square missing from the group's subject set")
-            images = {image(src) for image in group._images}
-            if not images <= group.subject:
-                raise ValueError("a group image leaves the subject")
-            label_of.update(dict.fromkeys(images, src))
-        return label_of[src]
+        if src not in group.subject:
+            raise ValueError("subject square missing from the group's subject set")
+        images = {image(src) for image in maps}
+        if not images <= group.subject:
+            raise ValueError("a group image leaves the subject")
+        return src, images
 
-    partition = _grouped(subject, label, subject_name)
+    partition = _partition(subject, label, subject_name)
     if partition.total != len(group.subject):
         raise ValueError(
             f"subject has {partition.total} squares, "
@@ -137,25 +123,15 @@ def symmetric_closure_partition(
 
     Squares are labelled by canonical_key.  Whether a magic image escapes
     the subject is not checked here: census() checks that across the
-    Trigg classes.
-
-    Keys are computed once per dihedral orbit: a square's key is every
-    triple image's key, so it is given to all grid_symmetries images.
+    Trigg classes.  A square's key is every triple image's key, so it is
+    computed once per dihedral orbit.
     """
-    key_of: dict[tuple[int, ...], str] = {}
-    images: dict[int, list[itemgetter]] = {}
 
-    def label(sq: Square) -> str:
-        key = key_of.get(sq.cells)
-        if key is None:
-            key = canonical_key(sq)
-            n = sq.order
-            if n not in images:
-                images[n] = [itemgetter(*t.cell_map()) for t in grid_symmetries(n)]
-            key_of.update((image(sq.cells), key) for image in images[n])
-        return key
+    def label(sq: Square) -> tuple[str, list[tuple[int, ...]]]:
+        images = _tables(sq.order).dihedral
+        return canonical_key(sq), [image(sq.cells) for image in images]
 
-    return _grouped(subject, label, subject_name)
+    return _partition(subject, label, subject_name)
 
 
 @dataclass(frozen=True)

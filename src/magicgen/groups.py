@@ -17,16 +17,20 @@ set, each member is h = s(h0), h0 the first square of its orbit, so
 t(h) = (t after s)(h0) is in that orbit for every t in S.  The cost is
 |T| * k + |S|^2 + |S| * (orbit count) image lookups, for T candidates and
 k filtering members (2 for Trigg A, 1 for D, 0 for B, C), not |G| * |S|.
+
+_grouped is the one pass that files squares under labels: the Dudeney
+classes (signatures), the group orbits and the closure classes
+(canonical_key) all come from it.  A label is computed once per set of
+squares it is known to name, such as a square's dihedral or group orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
-from typing import Iterable
+from typing import Callable, Hashable, Iterable
 
-from .squares import Square, Transformation, _invert_perm, _tables
+from .squares import Square, Transformation, _invert_perm, _tables, encode_square
 
 
 class GroupClosureError(RuntimeError):
@@ -43,11 +47,6 @@ class TransformationGroup:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    @cached_property
-    def _images(self) -> list[itemgetter]:
-        """One image getter per member, built once per group."""
-        return [itemgetter(*t.cell_map()) for t in self.members]
 
     def pair_view(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Permutation pairs whose transposed and untransposed triples both belong.
@@ -196,3 +195,29 @@ class Orbit:
     def size(self) -> int:
         return len(self.members)
 
+
+def _grouped(
+    squares: Iterable[Square],
+    label: Callable[[Square], tuple[Hashable, Iterable[tuple[int, ...]]]],
+    noun: str,
+) -> dict[Hashable, list[Square]]:
+    """The squares filed under their labels, in ascending encoding order.
+
+    label(sq) returns a key and the cells of every square sharing it, sq's
+    own included (an orbit the key is constant on); it is called once per
+    such set, for the first of them met.  Parts come in order of their
+    first square, each listing its squares in encoding order.  A repeated
+    square raises ValueError, naming the input as noun.
+    """
+    parts: dict[Hashable, list[Square]] = {}
+    key_of: dict[tuple[int, ...], Hashable] = {}
+    previous = None
+    for sq in sorted(squares, key=encode_square):
+        if sq.cells == previous:
+            raise ValueError(f"{noun} repeats the square {encode_square(sq)}")
+        previous = sq.cells
+        if sq.cells not in key_of:
+            key, sharing = label(sq)
+            key_of.update(dict.fromkeys(sharing, key))
+        parts.setdefault(key_of[sq.cells], []).append(sq)
+    return parts

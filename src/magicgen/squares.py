@@ -35,6 +35,7 @@ class _Tables(NamedTuple):
     broken_diagonals: tuple[tuple[int, ...], ...]  # in broken_diagonal_sums' order
     magic_getters: tuple[itemgetter, ...]
     broken_getters: tuple[itemgetter, ...]
+    dihedral: tuple[itemgetter, ...]  # image(cells) per grid_symmetries(n) member
     values: frozenset[int]  # 1..n^2
     texts: tuple[str, ...]  # texts[v] == str(v) for 0 <= v <= n^2
     ints: dict[str, int]  # ints[texts[v]] == v: the inverse of texts
@@ -49,10 +50,11 @@ def _tables(n: int) -> _Tables:
     broken = [tuple(i * n + (i + k) % n for i in span) for k in range(1, n)]
     broken += [tuple(i * n + (k - i) % n for i in span) for k in range(n - 1)]
     getters = [tuple(itemgetter(*line) for line in lines) for lines in (magic, broken)]
+    dihedral = tuple(itemgetter(*t.cell_map()) for t in grid_symmetries(n))
     values = frozenset(range(1, n * n + 1))
     texts = tuple(map(str, range(n * n + 1)))
     ints = {text: v for v, text in enumerate(texts)}
-    return _Tables(tuple(magic), tuple(broken), *getters, values, texts, ints)
+    return _Tables(tuple(magic), tuple(broken), *getters, dihedral, values, texts, ints)
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,13 +233,9 @@ class Transformation:
             if sorted(p) != list(range(n)):
                 raise ValueError(f"{name} {p} is not a permutation of 0..{n - 1}")
 
-    @property
-    def order(self) -> int:
-        return len(self.row_perm)
-
     def cell_map(self) -> tuple[int, ...]:
         """Index map: applying this transformation reads cell i from cell_map[i]."""
-        n = self.order
+        n = len(self.row_perm)
         rinv = _invert_perm(self.row_perm)
         cinv = _invert_perm(self.col_perm)
         if self.transposed:

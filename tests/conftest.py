@@ -73,11 +73,12 @@ def at(square: Square, r: int, c: int) -> int:
 
 def apply(t: Transformation, square: Square) -> Square:
     """The image of a square under a transformation, through its cell map."""
-    if square.order != t.order:
+    n = len(t.row_perm)
+    if square.order != n:
         raise ValueError(
-            f"transformation acts on order {t.order}, square has order {square.order}"
+            f"transformation acts on order {n}, square has order {square.order}"
         )
-    return Square(t.order, tuple(square.cells[i] for i in t.cell_map()))
+    return Square(n, tuple(square.cells[i] for i in t.cell_map()))
 
 
 def _compose_perm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -87,7 +88,7 @@ def _compose_perm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 def after(second: Transformation, first: Transformation) -> Transformation:
     """Composite transformation: first `first`, then `second`."""
-    if first.order != second.order:
+    if len(first.row_perm) != len(second.row_perm):
         raise ValueError("cannot compose transformations of different orders")
     if second.transposed:
         # Transposing swaps the roles of the earlier row and column perms.

@@ -17,7 +17,7 @@ from conftest import (
     labelled_squares,
 )
 
-from magicgen import classifier, pipeline
+from magicgen import classifier, groups, pipeline
 from magicgen.classifier import (
     DUDENEY_POPULATIONS,
     ROMAN,
@@ -97,15 +97,34 @@ def test_labels_deterministic(catalog4, census4):
     ]
 
 
+def test_classes_and_members_come_in_encoding_order(census4):
+    # One grouping pass in encoding order: a class's first member is its
+    # smallest, and classes come in order of it.
+    firsts = [encode_square(c.members[0]) for c in census4.classes]
+    assert firsts == sorted(firsts)
+    for cls in census4.classes:
+        codes = [encode_square(sq) for sq in cls.members]
+        assert codes == sorted(codes)
+
+
+def test_reversed_catalog_gives_the_same_census(catalog4, census4):
+    # assign_labels takes the classes in the order the pass gives them,
+    # whatever the catalog's order.
+    again = DudeneyCensus.from_catalog(catalog4[::-1])
+    assert again.labels == census4.labels
+    assert [c.signature for c in again.classes] == [c.signature for c in census4.classes]
+    assert [c.members for c in again.classes] == [c.members for c in census4.classes]
+
+
 def test_census_encodes_each_square_once(catalog4, monkeypatch):
-    # discover_classes and assign_labels both sort by min_encoding.
+    # The grouping pass sorts the catalog by encoding, once.
     calls = Counter()
 
     def counting(sq):
         calls[sq.cells] += 1
         return encode_square(sq)
 
-    monkeypatch.setattr(classifier, "encode_square", counting)
+    monkeypatch.setattr(groups, "encode_square", counting)
     DudeneyCensus.from_catalog(catalog4)
     assert len(calls) == 7040
     assert set(calls.values()) == {1}
@@ -128,8 +147,17 @@ def test_census_signs_each_dihedral_orbit_once(catalog4, monkeypatch):
 
 
 def test_incomplete_catalog_rejected(catalog4):
-    with pytest.raises(ValueError, match="incomplete catalog"):
+    with pytest.raises(ValueError, match="incomplete catalog: 100 squares, expected 7040$"):
         discover_classes(catalog4[:100])
+    with pytest.raises(ValueError, match="incomplete catalog: 0 squares, expected 7040$"):
+        discover_classes([])
+
+
+def test_twelve_signature_classes_required(catalog4, monkeypatch):
+    # Only a faulty signature can merge classes of the complete catalog.
+    monkeypatch.setattr(classifier, "signature", lambda sq: ())
+    with pytest.raises(ValueError, match="expected 12 signature classes, found 1$"):
+        discover_classes(catalog4)
 
 
 def test_repeated_square_rejected(catalog4):
@@ -140,7 +168,8 @@ def test_repeated_square_rejected(catalog4):
         sq for sq in catalog4 if sq != victim and signature(sq) == signature(victim)
     )
     corrupt = catalog4[:100] + [twin] + catalog4[101:]
-    with pytest.raises(ValueError, match="repeats the square"):
+    message = f"catalog repeats the square {encode_square(twin)}$"
+    with pytest.raises(ValueError, match=message):
         discover_classes(corrupt)
 
 
@@ -153,7 +182,8 @@ def test_non_magic_square_rejected(catalog4):
     assert any(canonical_key(sq) == canonical_key(fake) for sq in catalog4)
     victim = next(sq for sq in catalog4 if signature(sq) == signature(fake))
     corrupt = [fake if sq == victim else sq for sq in catalog4]
-    with pytest.raises(ValueError, match="non-magic square"):
+    message = f"catalog holds a non-magic square {encode_square(fake)}$"
+    with pytest.raises(ValueError, match=message):
         discover_classes(corrupt)
 
 

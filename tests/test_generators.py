@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from operator import itemgetter
+
 import pytest
 from conftest import apply, universe, verify_partition
 
-from magicgen import generators
+from magicgen import generators, groups
 from magicgen.classifier import ClassLabel, DudeneyCensus
 from magicgen.enumerator import iter_squares
 from magicgen.generators import (
@@ -201,6 +203,23 @@ class TestVerifyPartition:
             assert problems == (f"{clash} to each other",)
 
 
+def test_decompose_maps_one_square_per_group_orbit(census4, monkeypatch):
+    # Each group orbit's first square is mapped through the whole group;
+    # its other squares take the label it gave them.
+    members = census4.trigg_members("D")
+    group = symmetry_group(members)
+    mapped = []
+
+    def counting_getter(*cells):
+        image = itemgetter(*cells)
+        return lambda src: mapped.append(src) or image(src)
+
+    monkeypatch.setattr(generators, "itemgetter", counting_getter)
+    part = decompose(members, group, "trigg_D")
+    assert len(mapped) == len(part.orbits) * len(group) == 4 * 32
+    assert set(mapped) == {orb.generator.cells for orb in part.orbits}
+
+
 def test_decompose_rejects_foreign_squares(census4, all3):
     a = census4.trigg_members("A")
     d = census4.trigg_members("D")
@@ -216,10 +235,18 @@ def test_decompose_rejects_foreign_squares(census4, all3):
 def test_repeated_square_rejected(all3):
     # A repeat must not make up for a missing square in the size check.
     repeated = all3[:7] + [all3[0]]
-    with pytest.raises(ValueError, match="repeats the square"):
+    message = f"subject repeats the square {encode_square(all3[0])}$"
+    with pytest.raises(ValueError, match=message):
         decompose(repeated, symmetry_group(all3))
-    with pytest.raises(ValueError, match="repeats the square"):
+    with pytest.raises(ValueError, match=message):
         symmetric_closure_partition(repeated)
+
+
+def test_empty_subject_rejected(all3):
+    with pytest.raises(ValueError, match="subject is empty$"):
+        decompose([], symmetry_group(all3))
+    with pytest.raises(ValueError, match="subject is empty$"):
+        symmetric_closure_partition([])
 
 
 def test_closure_partition_keys_one_square_per_dihedral_orbit(census4, monkeypatch):
@@ -241,9 +268,9 @@ def test_partitions_encode_each_square_once(census4, monkeypatch):
     # One sort by encoding per partition, and its orbits hold the
     # subject's own squares.
     calls = []
-    encode = generators.encode_square
+    encode = groups.encode_square
     monkeypatch.setattr(
-        generators, "encode_square", lambda sq: calls.append(sq) or encode(sq)
+        groups, "encode_square", lambda sq: calls.append(sq) or encode(sq)
     )
     members = census4.trigg_members("B")
     own = {id(sq) for sq in members}
