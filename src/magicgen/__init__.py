@@ -4,7 +4,6 @@ magic squares."""
 from .squares import (
     Square,
     Transformation,
-    broken_diagonal_sums,
     encode_square,
     grid_symmetries,
     is_normal_magic,
@@ -29,7 +28,6 @@ from .classifier import (
     DudeneyCensus,
     SignatureClass,
     assign_labels,
-    count_magic_broken_diagonals,
     discover_classes,
     signature,
 )
@@ -68,11 +66,9 @@ __all__ = [
     "Transformation",
     "TransformationGroup",
     "assign_labels",
-    "broken_diagonal_sums",
     "build_system",
     "canonical_key",
     "census",
-    "count_magic_broken_diagonals",
     "count_squares",
     "decompose",
     "discover_classes",

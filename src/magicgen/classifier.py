@@ -16,7 +16,8 @@ pass behind every partition of squares, and names them:
   their smallest member's canonical text encoding.  Downstream results
   do not depend on the within-group order.
 * Class VI (the 2432 class) splits VI''/VI' by whether some broken
-  diagonal sums to 34.
+  diagonal sums to 34.  magic_broken_diagonal_counts counts those
+  diagonals for a whole catalog at once.
 
 The census is the one classification path: pipeline.classify_catalog
 labels each square by the class that holds it.  The paper's supervised
@@ -26,18 +27,12 @@ classifier is reproduced, with held-out figures, in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import partial, reduce
+from operator import add, itemgetter
 from typing import Iterable, Sequence
 
-from .groups import _grouped
-from .squares import (
-    Square,
-    _tables,
-    broken_diagonal_sums,
-    encode_square,
-    is_normal_magic,
-    magic_constant,
-)
+from .groups import EncodingOrder, _grouped, in_encoding_order
+from .squares import Square, _tables, encode_square, is_normal_magic, magic_constant
 
 PairingSignature = tuple[tuple[int, int], ...]
 
@@ -85,10 +80,20 @@ def signature(square: Square) -> PairingSignature:
     return min(tuple(sorted(pairs(images))) for images in _PAIR_IMAGES4)
 
 
-def count_magic_broken_diagonals(square: Square) -> int:
-    """How many of the square's broken diagonals sum to the magic constant."""
-    mu = magic_constant(square.order)
-    return sum(1 for s in broken_diagonal_sums(square) if s == mu)
+def magic_broken_diagonal_counts(squares: Sequence[Square]) -> list[int]:
+    """Per order-4 square, how many broken diagonals sum to the magic constant.
+
+    Each diagonal is summed for every square at once, column-wise: the
+    squares' cells at its first index plus those at its second, and so on,
+    all as C-level maps.  A square's count is then taken from its sums.
+    """
+    if not squares:
+        return []
+    columns = list(zip(*[sq.cells for sq in squares]))
+    add_columns = partial(map, add)
+    sums = [reduce(add_columns, line(columns)) for line in _tables(4).broken_getters]
+    mu = magic_constant(4)
+    return [diagonals.count(mu) for diagonals in zip(*sums)]
 
 
 @dataclass(frozen=True)
@@ -161,27 +166,37 @@ def with_vi_split(label: ClassLabel, broken_diagonals: int) -> ClassLabel:
 
 
 class DudeneyCensus:
-    """Discovered classes plus labels for the complete order-4 catalog."""
+    """Discovered classes plus labels for the complete order-4 catalog.
+
+    catalog holds the classes' squares in ascending encoding order: the
+    one sort by encoding a census makes.
+    """
 
     def __init__(
         self,
         classes: tuple[SignatureClass, ...],
         labels: dict[PairingSignature, ClassLabel],
+        catalog: EncodingOrder,
     ) -> None:
         self.classes = classes
         self.labels = labels
+        self.catalog = catalog
 
     @classmethod
     def from_catalog(cls, catalog: Iterable[Square]) -> "DudeneyCensus":
-        classes = discover_classes(catalog)
-        return cls(classes, assign_labels(classes))
+        ordered = in_encoding_order(catalog)
+        classes = discover_classes(ordered)
+        return cls(classes, assign_labels(classes), ordered)
 
-    def trigg_members(self, letter: str) -> tuple[Square, ...]:
-        members: list[Square] = []
-        for cls in self.classes:
-            if self.labels[cls.signature].trigg == letter:
-                members.extend(cls.members)
-        return tuple(members)
+    def trigg_members(self, letter: str) -> EncodingOrder:
+        """The Trigg class's squares, in ascending encoding order."""
+        cells = {
+            sq.cells
+            for cls in self.classes
+            if self.labels[cls.signature].trigg == letter
+            for sq in cls.members
+        }
+        return EncodingOrder(sq for sq in self.catalog if sq.cells in cells)
 
     def trigg_populations(self) -> dict[str, int]:
         pops: dict[str, int] = {}

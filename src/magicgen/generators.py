@@ -17,17 +17,20 @@ They differ only in the label, computed once per orbit it names:
   reproduces the published generator counts exactly (95 for order 4,
   with Trigg class histograms A: 3x384, B: 12x192 + 4x96 + 10x64 +
   20x32, C: 12x64 + 32x32, D: 2x64), so the census headlines it.
-  census() checks that no such class spans two Trigg classes: the
-  generators' keys must be distinct across all four.
+  A key names every triple image of its square, so it is computed once
+  per orbit of the class's symmetry group (190 keys for order 4).
+  census() checks that no such class spans two Trigg classes: the keys
+  the partitions were filed under must be distinct across all four.
 
 Both are OrbitPartitions: disjoint orbits covering the subject, each led
 by its encoding minimum.  The closure view's generators are pairwise
 non-symmetric even under the full universe of triples.
 
-class_census() computes both for one class of squares: census() runs it
-on each Trigg class, and the pipeline on the whole order-3 catalog.  Both
-then compare the closure histograms with the published ones through
-compared_census().
+class_census() computes both for one class of squares, sorted by encoding
+once: census() runs it on each Trigg class, whose squares the Dudeney
+census hands over already in that order, and the pipeline on the whole
+order-3 catalog.  Both then compare the closure histograms with the
+published ones through compared_census().
 """
 
 from __future__ import annotations
@@ -35,11 +38,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .classifier import DudeneyCensus
-from .groups import Orbit, TransformationGroup, _grouped, canonical_key, symmetry_group
-from .squares import Square, _tables, encode_square
+from .groups import (
+    Orbit,
+    TransformationGroup,
+    _grouped,
+    canonical_key,
+    in_encoding_order,
+    symmetry_group,
+)
+from .squares import Square, encode_square
 
 # Published census targets: orbit-size histogram under symmetric closure
 # per class letter (the four order-4 Trigg classes, and "order3", the
@@ -55,10 +65,16 @@ REFERENCE_HISTOGRAMS: dict[str, dict[int, int]] = {
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """Disjoint orbits covering a subject set, one generator per orbit."""
+    """Disjoint orbits covering a subject set, one generator per orbit.
+
+    keys holds the label each orbit was filed under, in orbit order (the
+    generator's cells for decompose, its canonical_key for
+    symmetric_closure_partition); a partition built by hand has none.
+    """
 
     subject_name: str
     orbits: tuple[Orbit, ...]
+    keys: tuple[Hashable, ...] = ()
 
     @property
     def size_histogram(self) -> dict[int, int]:
@@ -81,7 +97,7 @@ def _partition(
     if not parts:
         raise ValueError("subject is empty")
     orbits = (Orbit(frozenset(members), members[0]) for members in parts.values())
-    return OrbitPartition(subject_name, tuple(orbits))
+    return OrbitPartition(subject_name, tuple(orbits), tuple(parts))
 
 
 def decompose(
@@ -117,6 +133,7 @@ def decompose(
 
 def symmetric_closure_partition(
     subject: Iterable[Square],
+    group: TransformationGroup,
     subject_name: str = "",
 ) -> OrbitPartition:
     """Partition the subject into classes of mutually symmetric squares.
@@ -124,12 +141,14 @@ def symmetric_closure_partition(
     Squares are labelled by canonical_key.  Whether a magic image escapes
     the subject is not checked here: census() checks that across the
     Trigg classes.  A square's key is every triple image's key, so it is
-    computed once per dihedral orbit.
+    computed once per orbit of the group and given to the whole orbit.
+    Any triples would do; the subject's own symmetry group, whose orbits
+    are largest, needs the fewest keys.
     """
+    maps = [itemgetter(*t.cell_map()) for t in group.members]
 
     def label(sq: Square) -> tuple[str, list[tuple[int, ...]]]:
-        images = _tables(sq.order).dihedral
-        return canonical_key(sq), [image(sq.cells) for image in images]
+        return canonical_key(sq), [image(sq.cells) for image in maps]
 
     return _partition(subject, label, subject_name)
 
@@ -185,11 +204,17 @@ class GeneratorCensus:
 
 
 def class_census(letter: str, members: Sequence[Square], name: str) -> ClassCensus:
-    """Symmetry group and both orbit partitions of one class of squares."""
-    group = symmetry_group(members)
-    group_part = decompose(members, group, name)
-    closure_part = symmetric_closure_partition(members, name)
-    return ClassCensus(letter, len(members), group, group_part, closure_part)
+    """Symmetry group and both orbit partitions of one class of squares.
+
+    The members are sorted by encoding once (not at all if they come as an
+    EncodingOrder), for both partitions, and the closure keys are computed
+    once per group orbit.
+    """
+    ordered = in_encoding_order(members)
+    group = symmetry_group(ordered)
+    group_part = decompose(ordered, group, name)
+    closure_part = symmetric_closure_partition(ordered, group, name)
+    return ClassCensus(letter, len(ordered), group, group_part, closure_part)
 
 
 def compared_census(classes: Sequence[ClassCensus]) -> GeneratorCensus:
@@ -218,11 +243,12 @@ def census(dudeney: DudeneyCensus) -> GeneratorCensus:
     ]
     # The catalog behind a DudeneyCensus is complete, so every magic image
     # of a member lies in some Trigg class; it lies in another class iff
-    # two classes hold generators with one key.
-    owner: dict[str, str] = {}
+    # two classes filed closure orbits under one key.
+    owner: dict[Hashable, str] = {}
     for cls in classes:
-        for orb in cls.closure_partition.orbits:
-            prior = owner.setdefault(canonical_key(orb.generator), cls.letter)
+        part = cls.closure_partition
+        for key, orb in zip(part.keys, part.orbits):
+            prior = owner.setdefault(key, cls.letter)
             if prior != cls.letter:
                 raise ValueError(
                     f"symmetric squares lie in Trigg classes {prior} and "

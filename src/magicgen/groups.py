@@ -14,14 +14,18 @@ checks, then by any member whose S-orbit leaves the set.  This is exact:
 filtering drops only triples mapping a member outside the set, so every
 true symmetry survives; and once S is a group whose orbits stay in the
 set, each member is h = s(h0), h0 the first square of its orbit, so
-t(h) = (t after s)(h0) is in that orbit for every t in S.  The cost is
-|T| * k + |S|^2 + |S| * (orbit count) image lookups, for T candidates and
-k filtering members (2 for Trigg A, 1 for D, 0 for B, C), not |G| * |S|.
+t(h) = (t after s)(h0) is in that orbit for every t in S.  Closure is
+checked through generators (_group_problem).  The cost is |T| * k +
+|S| * (generator count) + |S| * (orbit count) image lookups, for T
+candidates and k filtering members (2 for Trigg A, 1 for D, 0 for B, C),
+not |G| * |S| or |S|^2.
 
 _grouped is the one pass that files squares under labels: the Dudeney
 classes (signatures), the group orbits and the closure classes
 (canonical_key) all come from it.  A label is computed once per set of
 squares it is known to name, such as a square's dihedral or group orbit.
+It sorts its input by encode_square unless the input is an EncodingOrder,
+squares already in that order, so a census sorts its squares once.
 """
 
 from __future__ import annotations
@@ -83,40 +87,71 @@ def symmetry_group(squares: Iterable[Square]) -> TransformationGroup:
 
     Filters the candidates of _candidates square by square only until they
     pass the group checks, then by any member whose orbit leaves the set,
-    at a cost growing with |G| + |S|^2, not |G| * |S| (module docstring).
-    Raises GroupClosureError with the first failed check if one still fails
-    once every member filtered them.  The (n!)^2 * 2 triples are never
-    listed, so any order works.
+    at a cost growing with |G| + |S| * (generator count), not |G| * |S|
+    (module docstring).  Raises GroupClosureError with the first failed
+    check if one still fails once every member filtered them.  The
+    (n!)^2 * 2 triples are never listed, so any order works.
     """
     order, index = _subject_index(squares)
+    # Survivors by cell map; each map's image getter is built once.
+    survivors = {t.cell_map(): t for t in _candidates(index, order)}
     # itemgetter(*cmap)(cells) is tuple(cells[i] for i in cmap), built in C.
-    survivors = {t: itemgetter(*t.cell_map()) for t in _candidates(index, order)}
+    images = {cmap: itemgetter(*cmap) for cmap in survivors}
     unfiltered = iter(index)
     while True:
-        problem = _group_problem(survivors)
-        images = survivors.values()
-        cells = next(unfiltered, None) if problem else _escaping_member(index, images)
+        problem = _group_problem(survivors, images)
+        if problem:
+            cells = next(unfiltered, None)
+        else:
+            cells = _escaping_member(index, [images[m] for m in survivors])
         if cells is None:
             break
-        survivors = {t: im for t, im in survivors.items() if im(cells) in index}
+        survivors = {m: t for m, t in survivors.items() if images[m](cells) in index}
     if problem is not None:
         raise GroupClosureError(problem)
-    return TransformationGroup(tuple(survivors), index, order)
+    return TransformationGroup(tuple(survivors.values()), index, order)
 
 
-def _group_problem(survivors: dict[Transformation, itemgetter]) -> str | None:
-    """The first group check the survivors fail, or None."""
+def _group_problem(
+    survivors: dict[tuple[int, ...], Transformation],
+    images: dict[tuple[int, ...], itemgetter],
+) -> str | None:
+    """The first group check the survivors (cell map -> triple) fail, or None.
+
+    Closure is the one axiom checked: in a finite non-empty set of
+    permutations closed under composition, each t has a power t^k equal
+    to the identity, and t^(k-1) is t's inverse.  It is checked through
+    generators: a survivor not yet reached becomes one, and each reached
+    map is composed after each generator.  Every product must be a
+    survivor, and every survivor is reached, so the survivors are exactly
+    the closed set their generators make.  Composed on cell maps: t1
+    after t2 reads cell i from m2[m1[i]], which is images[m1](m2).
+    """
     if not survivors:
         return "no triple survived filtering"
-    # Closure is the one axiom checked: in a finite non-empty set of
-    # permutations closed under composition, each t has a power t^k equal
-    # to the identity, and t^(k-1) is t's inverse.
-    # Composed on cell maps: t1 after t2 reads cell i from m2[m1[i]].
-    maps = {t.cell_map(): t for t in survivors}
-    for t1, image1 in survivors.items():
-        for m2, t2 in maps.items():
-            if image1(m2) not in maps:
-                return f"composition {t1} after {t2} missing"
+    reached: dict[tuple[int, ...], None] = {}  # an ordered set
+    generators: list[tuple[int, ...]] = []
+    work: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+
+    def reach(m: tuple[int, ...]) -> None:
+        reached[m] = None
+        work.extend((m, g) for g in generators)
+
+    for start in survivors:
+        if start in reached:
+            continue
+        # The new generator acts after every map reached so far, and each
+        # map reached from here on after every generator.
+        work.extend((m, start) for m in reached)
+        generators.append(start)
+        reach(start)
+        while work:
+            m1, m2 = work.pop()
+            product = images[m1](m2)
+            if product not in survivors:
+                return f"composition {survivors[m1]} after {survivors[m2]} missing"
+            if product not in reached:
+                reach(product)
     return None
 
 
@@ -139,8 +174,10 @@ def _candidates(index: frozenset[tuple[int, ...]], n: int) -> list[Transformatio
     reads the cell of g0 holding its value.  Row 0 and column 0 of the map
     name a triple's source rows and columns (once each source cell's row and
     column are swapped, for a transposed triple), and the rest must agree.
-    Every group triple maps g0 onto a member, so all are candidates.  They
-    come sorted by (transposed, row perm, column perm).
+    A triple's map steps alike along rows 0 and 1, so one difference rules
+    out many maps before the triple is built.  Every group triple maps g0
+    onto a member, so all are candidates.  They come sorted by (transposed,
+    row perm, column perm).
     """
     cell_of = {v: cell for cell, v in enumerate(min(index))}
     swap = [(k % n) * n + k // n for k in range(n * n)]
@@ -150,6 +187,8 @@ def _candidates(index: frozenset[tuple[int, ...]], n: int) -> list[Transformatio
         for transposed in (False, True):
             if transposed:
                 cmap = itemgetter(*cmap)(swap)
+            if cmap[n + 1] - cmap[n] != cmap[1] - cmap[0]:
+                continue
             rows = [cmap[r * n] // n for r in range(n)]
             cols = [cmap[c] % n for c in range(n)]
             if cmap == tuple(r * n + c for r in rows for c in cols):
@@ -196,6 +235,21 @@ class Orbit:
         return len(self.members)
 
 
+class EncodingOrder(tuple):
+    """Squares in ascending encode_square order, as in_encoding_order sorts them.
+
+    A filtered EncodingOrder is still in order, so a census that sorted its
+    catalog once hands each class its squares this way.
+    """
+
+
+def in_encoding_order(squares: Iterable[Square]) -> EncodingOrder:
+    """The squares sorted by encode_square; an EncodingOrder as it stands."""
+    if isinstance(squares, EncodingOrder):
+        return squares
+    return EncodingOrder(sorted(squares, key=encode_square))
+
+
 def _grouped(
     squares: Iterable[Square],
     label: Callable[[Square], tuple[Hashable, Iterable[tuple[int, ...]]]],
@@ -212,7 +266,7 @@ def _grouped(
     parts: dict[Hashable, list[Square]] = {}
     key_of: dict[tuple[int, ...], Hashable] = {}
     previous = None
-    for sq in sorted(squares, key=encode_square):
+    for sq in in_encoding_order(squares):
         if sq.cells == previous:
             raise ValueError(f"{noun} repeats the square {encode_square(sq)}")
         previous = sq.cells

@@ -30,7 +30,7 @@ from .catalog import (
     group_text,
     write_atomic,
 )
-from .classifier import DudeneyCensus, count_magic_broken_diagonals, with_vi_split
+from .classifier import DudeneyCensus, magic_broken_diagonal_counts, with_vi_split
 from .enumerator import (
     checked_plan,
     count_squares,
@@ -60,19 +60,23 @@ def classify_catalog(
     The census has already put each square in its class, so the label is
     looked up by cells, not recomputed; a square outside the census is a
     ValueError.  This lookup is the package's one classification path.
-    Broken diagonals are counted once, for the record and the VI split.
+    Broken diagonals are counted once, for every square in one batch, for
+    the records and the VI split.
     """
     label_by_cells = {
         sq.cells: dudeney.labels[cls.signature]
         for cls in dudeney.classes
         for sq in cls.members
     }
-    records = []
-    for i, sq in enumerate(squares):
+    labels = []
+    for sq in squares:
         label = label_by_cells.get(sq.cells)
         if label is None:
             raise ValueError(f"square {encode_square(sq)} is not in the census")
-        broken = count_magic_broken_diagonals(sq)
+        labels.append(label)
+    records = []
+    broken_counts = magic_broken_diagonal_counts(squares)
+    for i, (sq, label, broken) in enumerate(zip(squares, labels, broken_counts)):
         label = with_vi_split(label, broken)
         records.append(
             CatalogRecord(

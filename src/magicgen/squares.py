@@ -32,7 +32,10 @@ class _Tables(NamedTuple):
     """Per-order constants, built on first use of the order."""
 
     magic_lines: tuple[tuple[int, ...], ...]  # rows, columns, diagonal, anti-diagonal
-    broken_diagonals: tuple[tuple[int, ...], ...]  # in broken_diagonal_sums' order
+    # The 2(n-1) wraparound diagonals other than the two main traces:
+    # down-right {(i, (i+k) mod n)} for k = 1..n-1, then down-left
+    # {(i, (k-i) mod n)} for k = 0..n-2.
+    broken_diagonals: tuple[tuple[int, ...], ...]
     magic_getters: tuple[itemgetter, ...]
     broken_getters: tuple[itemgetter, ...]
     dihedral: tuple[itemgetter, ...]  # image(cells) per grid_symmetries(n) member
@@ -187,18 +190,6 @@ def _all_magic(grids: list[tuple[int, ...]], n: int) -> bool:
     return all(
         set(reduce(add_columns, line(columns))) == mu for line in _tables(n).magic_getters
     )
-
-
-def broken_diagonal_sums(square: Square) -> tuple[int, ...]:
-    """Sums of the 2(n-1) wraparound diagonals other than the two main traces.
-
-    Order of results: down-right diagonals {(i, (i+k) mod n)} for k = 1..n-1
-    ascending, then down-left diagonals {(i, (k-i) mod n)} for k = 0..n-2
-    ascending.  k = 0 down-right and k = n-1 down-left are the main traces
-    and are excluded.
-    """
-    cells = square.cells
-    return tuple([sum(line(cells)) for line in _tables(square.order).broken_getters])
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,19 @@ from typing import Iterable, Sequence
 
 import pytest
 
-from magicgen.classifier import (
-    ClassLabel,
-    DudeneyCensus,
-    count_magic_broken_diagonals,
-    signature,
-    with_vi_split,
-)
+from magicgen.classifier import ClassLabel, DudeneyCensus, signature, with_vi_split
 from magicgen.constraints import ConstraintSystem, build_system
 from magicgen.enumerator import iter_squares
 from magicgen.generators import census as generator_census
 from magicgen.groups import canonical_key
-from magicgen.squares import Square, Transformation, encode_square, is_normal_magic
+from magicgen.squares import (
+    Square,
+    Transformation,
+    _tables,
+    encode_square,
+    is_normal_magic,
+    magic_constant,
+)
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 
@@ -114,6 +115,27 @@ def inverse(t: Transformation) -> Transformation:
     if t.transposed:
         return Transformation(_invert(t.col_perm), _invert(t.row_perm), True)
     return Transformation(_invert(t.row_perm), _invert(t.col_perm), False)
+
+
+def broken_diagonal_sums(square: Square) -> tuple[int, ...]:
+    """Sums of the 2(n-1) wraparound diagonals other than the two main traces.
+
+    Order of results: down-right diagonals {(i, (i+k) mod n)} for k = 1..n-1
+    ascending, then down-left diagonals {(i, (k-i) mod n)} for k = 0..n-2
+    ascending.  k = 0 down-right and k = n-1 down-left are the main traces
+    and are excluded.
+    """
+    cells = square.cells
+    return tuple([sum(line(cells)) for line in _tables(square.order).broken_getters])
+
+
+def count_magic_broken_diagonals(square: Square) -> int:
+    """How many of the square's broken diagonals sum to the magic constant.
+
+    The per-square reference for classifier.magic_broken_diagonal_counts.
+    """
+    mu = magic_constant(square.order)
+    return sum(1 for s in broken_diagonal_sums(square) if s == mu)
 
 
 def solve(system: ConstraintSystem, basis: Sequence[int]) -> tuple[int, ...]:

@@ -36,6 +36,8 @@ from conftest import (
     after,
     apply,
     at,
+    broken_diagonal_sums,
+    count_magic_broken_diagonals,
     determinant,
     inverse,
     label_of,
@@ -44,11 +46,7 @@ from conftest import (
 )
 
 from magicgen.catalog import catalog_text
-from magicgen.classifier import (
-    DUDENEY_POPULATIONS,
-    count_magic_broken_diagonals,
-    signature,
-)
+from magicgen.classifier import DUDENEY_POPULATIONS, signature
 from magicgen.constraints import build_system
 from magicgen.enumerator import (
     count_squares,
@@ -66,7 +64,6 @@ from magicgen.squares import (
     Square,
     Transformation,
     _is_magic_grid,
-    broken_diagonal_sums,
     encode_square,
     grid_symmetries,
     is_normal_magic,
@@ -268,9 +265,10 @@ def test_criterion_08_generator_census(census4, gencensus4):
 
     # Peeling-order independence, demonstrated on the smallest class.
     d_members = census4.trigg_members("D")
-    forward = symmetric_closure_partition(d_members, "D")
+    group_d = symmetry_group(d_members)
+    forward = symmetric_closure_partition(d_members, group_d, "D")
     reversed_members = sorted(d_members, key=encode_square, reverse=True)
-    backward = symmetric_closure_partition(reversed_members, "D")
+    backward = symmetric_closure_partition(reversed_members, group_d, "D")
     as_sets = lambda p: {frozenset(m.cells for m in o.members) for o in p.orbits}
     assert as_sets(forward) == as_sets(backward)
     print(

@@ -13,6 +13,8 @@ from conftest import (
     TRIGG_POPULATIONS,
     FastClassifier,
     apply,
+    broken_diagonal_sums,
+    count_magic_broken_diagonals,
     label_of,
     labelled_squares,
 )
@@ -26,8 +28,8 @@ from magicgen.classifier import (
     VI_SPLIT_PLAIN,
     DudeneyCensus,
     assign_labels,
-    count_magic_broken_diagonals,
     discover_classes,
+    magic_broken_diagonal_counts,
     signature,
 )
 from magicgen.constraints import build_system
@@ -355,18 +357,39 @@ class TestClassifyCatalog:
         def no_signature(square):
             raise AssertionError("classify_catalog computed a signature")
 
-        counted = []
-        sums = classifier.broken_diagonal_sums
+        batches = []
+        counts = pipeline.magic_broken_diagonal_counts
 
-        def counting_sums(square):
-            counted.append(square.cells)
-            return sums(square)
+        def counting_counts(squares):
+            batches.append([sq.cells for sq in squares])
+            return counts(squares)
 
         monkeypatch.setattr(classifier, "signature", no_signature)
-        monkeypatch.setattr(classifier, "broken_diagonal_sums", counting_sums)
+        monkeypatch.setattr(pipeline, "magic_broken_diagonal_counts", counting_counts)
         assert classify_catalog(catalog4, census4) == expected
-        # Broken diagonals are counted once per square, VI split included.
-        assert sorted(counted) == sorted(sq.cells for sq in catalog4)
+        # Broken diagonals are counted once per square, in one batch, VI
+        # split included.
+        assert len(batches) == 1
+        assert sorted(batches[0]) == sorted(sq.cells for sq in catalog4)
+
+    def test_broken_diagonal_batch_matches_the_square_oracle(
+        self, catalog4, census4, durer
+    ):
+        # Column-wise counts against per-square sums: every catalog square
+        # (0, 1, 2 or 6 magic broken diagonals), then Durer's square and
+        # random permutations of 1..16, which reach 3.
+        records = classify_catalog(catalog4, census4)
+        assert [r.broken_diagonals for r in records] == [
+            sum(s == 34 for s in broken_diagonal_sums(sq)) for sq in catalog4
+        ]
+        assert {r.broken_diagonals for r in records} == {0, 1, 2, 6}
+        rng = random.Random(4)
+        squares = [Square(4, tuple(rng.sample(range(1, 17), 16))) for _ in range(2000)]
+        squares.append(durer)
+        counts = magic_broken_diagonal_counts(squares)
+        assert counts == [count_magic_broken_diagonals(sq) for sq in squares]
+        assert set(counts) == {0, 1, 2, 3}
+        assert magic_broken_diagonal_counts([]) == []
 
     def test_attach_orbits_keys_by_cells(self, catalog4, census4, gencensus4, monkeypatch):
         records = classify_catalog(catalog4, census4)

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 
 import pytest
 from conftest import apply, universe, verify_partition
 
-from magicgen import generators, groups
+from magicgen import classifier, generators, groups, pipeline
 from magicgen.classifier import ClassLabel, DudeneyCensus
 from magicgen.enumerator import iter_squares
 from magicgen.generators import (
@@ -16,8 +17,15 @@ from magicgen.generators import (
     decompose,
     symmetric_closure_partition,
 )
-from magicgen.groups import Orbit, TransformationGroup, symmetry_group
-from magicgen.squares import Transformation, encode_square
+from magicgen.groups import (
+    EncodingOrder,
+    Orbit,
+    TransformationGroup,
+    canonical_key,
+    symmetry_group,
+)
+from magicgen.pipeline import attach_orbits, classify_catalog
+from magicgen.squares import Transformation, encode_square, grid_symmetries
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +41,7 @@ def partition3(all3):
 def test_order3_single_orbit(all3, partition3):
     assert len(partition3.orbits) == 1
     assert partition3.size_histogram == {8: 1}
-    closure = symmetric_closure_partition(all3, "order3")
+    closure = symmetric_closure_partition(all3, symmetry_group(all3), "order3")
     assert closure.size_histogram == {8: 1}
     assert closure.generators() == partition3.generators()
 
@@ -120,7 +128,7 @@ class TestCensus:
         labels = dict(census4.labels)
         xi = by_numeral["XI"].signature
         labels[xi] = ClassLabel("XI", "C")
-        doctored = DudeneyCensus(census4.classes, labels)
+        doctored = DudeneyCensus(census4.classes, labels, census4.catalog)
         with pytest.raises(ValueError, match="Trigg classes C and D"):
             census(doctored)
 
@@ -239,47 +247,123 @@ def test_repeated_square_rejected(all3):
     with pytest.raises(ValueError, match=message):
         decompose(repeated, symmetry_group(all3))
     with pytest.raises(ValueError, match=message):
-        symmetric_closure_partition(repeated)
+        symmetric_closure_partition(repeated, symmetry_group(all3))
 
 
 def test_empty_subject_rejected(all3):
     with pytest.raises(ValueError, match="subject is empty$"):
         decompose([], symmetry_group(all3))
     with pytest.raises(ValueError, match="subject is empty$"):
-        symmetric_closure_partition([])
+        symmetric_closure_partition([], symmetry_group(all3))
 
 
-def test_closure_partition_keys_one_square_per_dihedral_orbit(census4, monkeypatch):
+def test_closure_partition_keys_one_square_per_dihedral_orbit(
+    census4, by_letter, monkeypatch
+):
     # Trigg classes are closed under the 8 grid symmetries, and each of
-    # those orbits has 8 squares, so class B needs 3,968 / 8 keys.
+    # those orbits has 8 squares, so given only those class B needs
+    # 3,968 / 8 keys.  Given the class's symmetry group, as class_census
+    # gives it, a key serves a whole group orbit: 3,968 / 32.
     calls = []
     key = generators.canonical_key
     monkeypatch.setattr(
         generators, "canonical_key", lambda sq: calls.append(sq) or key(sq)
     )
     members = census4.trigg_members("B")
-    part = symmetric_closure_partition(members, "trigg_B")
+    dihedral = TransformationGroup(grid_symmetries(4), frozenset(), 4)
+    part = symmetric_closure_partition(members, dihedral, "trigg_B")
     assert len(members) == 3968
     assert len(calls) == 496
     assert part.size_histogram == REFERENCE_HISTOGRAMS["B"]
+    group = by_letter["B"].group
+    calls.clear()
+    grouped = symmetric_closure_partition(members, group, "trigg_B")
+    assert len(calls) == len(members) // len(group) == 124
+    assert grouped == part
+    assert grouped.size_histogram == REFERENCE_HISTOGRAMS["B"]
 
 
 def test_partitions_encode_each_square_once(census4, monkeypatch):
-    # One sort by encoding per partition, and its orbits hold the
-    # subject's own squares.
+    # A partition sorts a plain subject by encoding once and takes the
+    # census's EncodingOrder as it stands; class_census sorts a plain
+    # subject once for both partitions.  Orbits hold the subject's own
+    # squares.
     calls = []
     encode = groups.encode_square
     monkeypatch.setattr(
         groups, "encode_square", lambda sq: calls.append(sq) or encode(sq)
     )
     members = census4.trigg_members("B")
+    assert isinstance(members, EncodingOrder)
+    plain = list(reversed(members))
     own = {id(sq) for sq in members}
     group = symmetry_group(members)
-    for partition in (
-        lambda: decompose(members, group, "trigg_B"),
-        lambda: symmetric_closure_partition(members, "trigg_B"),
-    ):
-        calls.clear()
-        part = partition()
-        assert len(calls) == len(members) == 3968
-        assert all(id(m) in own for orb in part.orbits for m in orb.members)
+    for subject, encodings in ((plain, 3968), (members, 0)):
+        for partition in (
+            lambda: decompose(subject, group, "trigg_B"),
+            lambda: symmetric_closure_partition(subject, group, "trigg_B"),
+        ):
+            calls.clear()
+            part = partition()
+            assert len(calls) == encodings
+            assert all(id(m) in own for orb in part.orbits for m in orb.members)
+    calls.clear()
+    from_plain = class_census("B", plain, "trigg_B")
+    assert len(calls) == 3968
+    calls.clear()
+    from_census = class_census("B", members, "trigg_B")
+    assert calls == []
+    assert from_plain == from_census
+
+
+def test_closure_partitions_keep_the_keys_they_filed(gencensus4):
+    # census() checks the classes against each other through these keys,
+    # not fresh keys of the generators.
+    for cls in gencensus4.classes:
+        part = cls.closure_partition
+        assert part.keys == tuple(canonical_key(o.generator) for o in part.orbits)
+        assert cls.group_partition.keys == tuple(
+            o.generator.cells for o in cls.group_partition.orbits
+        )
+
+
+def test_census_call_budget(catalog4, monkeypatch):
+    # The deterministic work of a census, from the catalog to labelled
+    # records: each square is encoded once (the Dudeney sort), signatures
+    # are taken once per dihedral orbit, closure keys once per group
+    # orbit, and the group checks compose each survivor after each of a
+    # few generators (1,510 compositions for Trigg A over its three
+    # passes, 160 for B and C, 175 for D; checking every pair took
+    # 40,871).  Compositions are the image getters applied to a cell map
+    # (a tuple holding 0) rather than to a square's cells.
+    counts = Counter()
+
+    def counted(kind, original):
+        return lambda *args: counts.update([kind]) or original(*args)
+
+    for module in (classifier, generators, groups, pipeline):
+        for name in ("encode_square", "canonical_key", "signature"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+
+    def counting_getter(*items):
+        image = itemgetter(*items)
+
+        def get(arg):
+            if isinstance(arg, tuple) and 0 in arg:
+                counts["composition"] += 1
+            return image(arg)
+
+        return get
+
+    monkeypatch.setattr(groups, "itemgetter", counting_getter)
+    dudeney = DudeneyCensus.from_catalog(catalog4)
+    gens = census(dudeney)
+    records = attach_orbits(classify_catalog(catalog4, dudeney), gens)
+    assert len(records) == 7040 and gens.total_generators == 95
+    assert counts == {
+        "encode_square": 7040,
+        "signature": 880,
+        "canonical_key": 190,
+        "composition": 2005,
+    }

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import islice
 
 import pytest
@@ -135,6 +136,23 @@ class TestSymmetryGroup:
         with pytest.raises(GroupClosureError, match=message):
             symmetry_group(all3)
 
+    def test_closure_reaches_a_product_two_generator_steps_deep(self, monkeypatch):
+        # A 4-cycle c of rows generates {e, c, c^2, c^3}, all symmetries of
+        # a square's <c>-orbit.  Without c^3 among the candidates, every
+        # product of two of the generators e and c stays in the set; only
+        # c^2 after c, a product of a product, is missing.
+        c = Transformation((1, 2, 3, 0), (0, 1, 2, 3))
+        c2 = after(c, c)
+        sq = Square(4, tuple(range(1, 17)))
+        subject = [sq, apply(c, sq), apply(c2, sq), apply(after(c, c2), sq)]
+        kept = [identity_transformation(4), c, c2]
+        assert {after(s, t) for s in kept[:2] for t in kept[:2]} <= set(kept)
+        monkeypatch.setattr(groups, "_candidates", lambda index, n: kept)
+        with pytest.raises(
+            GroupClosureError, match=re.escape(f"composition {c2} after {c} missing")
+        ):
+            symmetry_group(subject)
+
     def test_orbit_escape_filters_a_closed_survivor_set(self, catalog4):
         # g0 is one of the first two squares, so the transpose survives
         # filtering by both, and {identity, transpose} is a group; but it
@@ -147,6 +165,23 @@ class TestSymmetryGroup:
         group = symmetry_group(subject)
         assert group.members == (identity_transformation(4),)
         assert set(group.members) == _universe_filter(subject)
+
+    @pytest.mark.parametrize("letter", ["order3", "A", "B", "C", "D"])
+    def test_candidates_are_the_universe_triples_into_the_set(
+        self, all3, census4, letter
+    ):
+        # Brute force over all (n!)^2 * 2 triples: those mapping the least
+        # member g0 onto a member, in (transposed, row, column) order.
+        squares = all3 if letter == "order3" else census4.trigg_members(letter)
+        index = frozenset(sq.cells for sq in squares)
+        g0 = min(index)
+        n = squares[0].order
+        expected = [
+            t for t in _triples(n) if tuple(g0[i] for i in t.cell_map()) in index
+        ]
+        expected.sort(key=lambda t: (t.transposed, t.row_perm, t.col_perm))
+        assert len(_triples(n)) == {3: 72, 4: 1152}[n]
+        assert groups._candidates(index, n) == expected
 
     def test_order3_equals_universe_filter(self, all3, group3):
         assert set(group3.members) == _universe_filter(all3)
@@ -238,7 +273,7 @@ def test_seeded_subjects_match_the_references(catalog4):
             (encode_square(min(members, key=encode_square)), {m.cells for m in members})
             for members in by_key.values()
         )
-        parts = symmetric_closure_partition(subject).orbits
+        parts = symmetric_closure_partition(subject, group).orbits
         got = [(encode_square(o.generator), {m.cells for m in o.members}) for o in parts]
         assert got == expected
     assert nontrivial >= 10

@@ -11,6 +11,7 @@ from conftest import (
     after,
     apply,
     at,
+    broken_diagonal_sums,
     determinant,
     from_rows,
     identity_transformation,
@@ -24,7 +25,6 @@ from magicgen.squares import (
     _all_magic,
     _is_magic_grid,
     _tables,
-    broken_diagonal_sums,
     encode_square,
     grid_symmetries,
     is_normal_magic,
