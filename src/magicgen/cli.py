@@ -157,16 +157,22 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _plan_entry(text: str) -> tuple[int, ...]:
+    """One pipeline --shard-value: comma-separated trial-cell values."""
+    try:
+        return tuple(map(int, text.split(",")))
+    except ValueError:
+        message = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+
+
 def _cmd_pipeline(args) -> int:
-    shards = None
-    if args.shard_value:
-        shards = [tuple(int(x) for x in sv.split(",")) for sv in args.shard_value]
     try:
         summary = run_pipeline(
             args.order,
             args.out_dir,
             long_run=args.long_run,
-            shards=shards,
+            shards=args.shard_value,
         )
     except ValueError as exc:
         print(f"error: stage=pipeline {exc}", file=sys.stderr)
@@ -235,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--shard-value",
         action="append",
+        type=_plan_entry,
         metavar="V1,V2,...",
         help="order-5 shard plan entry (comma-separated trial-cell values)",
     )

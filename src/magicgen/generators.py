@@ -1,15 +1,14 @@
 """Orbit decomposition of square classes and the generator census.
 
 Each orbit's generator is its member with the smallest encode_square
-text, and a partition lists its orbits in generator order.  Both
-decompositions below go through groups._grouped, the grouping pass that
-also files the Dudeney classes: it takes the subject's squares in
-ascending encoding order, so each orbit's first square is its generator.
-They differ only in the label, computed once per orbit it names:
+text, and a partition lists its orbits in generator order.
 
 * decompose(): orbits of the class's own symmetry group (the triples
   preserving the class as a set).  Self-contained and self-certifying,
-  but finer than the published census.
+  but finer than the published census.  It goes through groups._grouped,
+  the grouping pass that also files the Dudeney classes: squares come in
+  ascending encoding order, so each orbit's first square is its
+  generator.
 
 * symmetric_closure_partition(): equivalence classes of "some candidate
   (row perm, col perm, transpose) triple maps one square to the other",
@@ -17,8 +16,9 @@ They differ only in the label, computed once per orbit it names:
   reproduces the published generator counts exactly (95 for order 4,
   with Trigg class histograms A: 3x384, B: 12x192 + 4x96 + 10x64 +
   20x32, C: 12x64 + 32x32, D: 2x64), so the census headlines it.
-  A key names every triple image of its square, so it is computed once
-  per orbit of the class's symmetry group (190 keys for order 4).
+  A key names every triple image of its square, so each class is a union
+  of whole group orbits: it merges decompose's orbits by their
+  generators' keys (190 keys for order 4) and groups no square again.
   census() checks that no such class spans two Trigg classes: the keys
   the partitions were filed under must be distinct across all four.
 
@@ -26,11 +26,11 @@ Both are OrbitPartitions: disjoint orbits covering the subject, each led
 by its encoding minimum.  The closure view's generators are pairwise
 non-symmetric even under the full universe of triples.
 
-class_census() computes both for one class of squares, sorted by encoding
-once: census() runs it on each Trigg class, whose squares the Dudeney
-census hands over already in that order, and the pipeline on the whole
-order-3 catalog.  Both then compare the closure histograms with the
-published ones through compared_census().
+class_census() computes both for one class of squares: census() runs it
+on each Trigg class, whose squares the Dudeney census hands over already
+in encoding order, and the pipeline on the whole order-3 catalog.  Both
+then compare the closure histograms with the published ones through
+compared_census().
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .classifier import DudeneyCensus
 from .groups import (
@@ -46,7 +46,6 @@ from .groups import (
     TransformationGroup,
     _grouped,
     canonical_key,
-    in_encoding_order,
     symmetry_group,
 )
 from .squares import Square, encode_square
@@ -67,9 +66,9 @@ REFERENCE_HISTOGRAMS: dict[str, dict[int, int]] = {
 class OrbitPartition:
     """Disjoint orbits covering a subject set, one generator per orbit.
 
-    keys holds the label each orbit was filed under, in orbit order (the
-    generator's cells for decompose, its canonical_key for
-    symmetric_closure_partition); a partition built by hand has none.
+    keys holds the label each orbit was filed under, in orbit order: the
+    generator's cells for decompose, the canonical_key its group orbits
+    merged by for symmetric_closure_partition.  A hand-built one has none.
     """
 
     subject_name: str
@@ -87,17 +86,6 @@ class OrbitPartition:
     def generators(self) -> tuple[Square, ...]:
         """Every orbit's generator; orbits come in generator order."""
         return tuple(o.generator for o in self.orbits)
-
-
-def _partition(
-    subject: Iterable[Square], label: Callable, subject_name: str
-) -> OrbitPartition:
-    """The subject's label parts as orbits, each led by its first square."""
-    parts = _grouped(subject, label, "subject")
-    if not parts:
-        raise ValueError("subject is empty")
-    orbits = (Orbit(frozenset(members), members[0]) for members in parts.values())
-    return OrbitPartition(subject_name, tuple(orbits), tuple(parts))
 
 
 def decompose(
@@ -122,7 +110,11 @@ def decompose(
             raise ValueError("a group image leaves the subject")
         return src, images
 
-    partition = _partition(subject, label, subject_name)
+    parts = _grouped(subject, label, "subject")
+    if not parts:
+        raise ValueError("subject is empty")
+    orbits = tuple(Orbit(frozenset(members), members[0]) for members in parts.values())
+    partition = OrbitPartition(subject_name, orbits, tuple(parts))
     if partition.total != len(group.subject):
         raise ValueError(
             f"subject has {partition.total} squares, "
@@ -131,26 +123,23 @@ def decompose(
     return partition
 
 
-def symmetric_closure_partition(
-    subject: Iterable[Square],
-    group: TransformationGroup,
-    subject_name: str = "",
-) -> OrbitPartition:
-    """Partition the subject into classes of mutually symmetric squares.
+def symmetric_closure_partition(group_partition: OrbitPartition) -> OrbitPartition:
+    """decompose's group orbits merged into classes of mutually symmetric squares.
 
-    Squares are labelled by canonical_key.  Whether a magic image escapes
-    the subject is not checked here: census() checks that across the
-    Trigg classes.  A square's key is every triple image's key, so it is
-    computed once per orbit of the group and given to the whole orbit.
-    Any triples would do; the subject's own symmetry group, whose orbits
-    are largest, needs the fewest keys.
+    A canonical_key names every triple image of its square, so orbits merge
+    by their generators' keys.  The first orbit of a class, in generator
+    order, leads it; the members are frozenset unions, which reuse the
+    orbits' stored hashes.  census() checks across the Trigg classes that
+    no magic image escapes the subject.
     """
-    maps = [itemgetter(*t.cell_map()) for t in group.members]
-
-    def label(sq: Square) -> tuple[str, list[tuple[int, ...]]]:
-        return canonical_key(sq), [image(sq.cells) for image in maps]
-
-    return _partition(subject, label, subject_name)
+    merged: dict[str, list[Orbit]] = {}
+    for orb in group_partition.orbits:
+        merged.setdefault(canonical_key(orb.generator), []).append(orb)
+    orbits = (
+        Orbit(frozenset().union(*(o.members for o in parts)), parts[0].generator)
+        for parts in merged.values()
+    )
+    return OrbitPartition(group_partition.subject_name, tuple(orbits), tuple(merged))
 
 
 @dataclass(frozen=True)
@@ -206,15 +195,14 @@ class GeneratorCensus:
 def class_census(letter: str, members: Sequence[Square], name: str) -> ClassCensus:
     """Symmetry group and both orbit partitions of one class of squares.
 
-    The members are sorted by encoding once (not at all if they come as an
-    EncodingOrder), for both partitions, and the closure keys are computed
-    once per group orbit.
+    decompose groups the members once (sorting them by encoding unless
+    they come as an EncodingOrder), and the closure classes merge its
+    orbits, one canonical_key per group orbit.
     """
-    ordered = in_encoding_order(members)
-    group = symmetry_group(ordered)
-    group_part = decompose(ordered, group, name)
-    closure_part = symmetric_closure_partition(ordered, group, name)
-    return ClassCensus(letter, len(ordered), group, group_part, closure_part)
+    group = symmetry_group(members)
+    group_part = decompose(members, group, name)
+    closure_part = symmetric_closure_partition(group_part)
+    return ClassCensus(letter, len(members), group, group_part, closure_part)
 
 
 def compared_census(classes: Sequence[ClassCensus]) -> GeneratorCensus:

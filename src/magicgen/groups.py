@@ -21,9 +21,10 @@ candidates and k filtering members (2 for Trigg A, 1 for D, 0 for B, C),
 not |G| * |S| or |S|^2.
 
 _grouped is the one pass that files squares under labels: the Dudeney
-classes (signatures), the group orbits and the closure classes
-(canonical_key) all come from it.  A label is computed once per set of
-squares it is known to name, such as a square's dihedral or group orbit.
+classes (signatures) and the group orbits come from it, and the closure
+classes merge whole group orbits by canonical_key without filing their
+squares again.  A label is computed once per set of squares it is known
+to name, such as a square's dihedral or group orbit.
 It sorts its input by encode_square unless the input is an EncodingOrder,
 squares already in that order, so a census sorts its squares once.
 """

@@ -266,9 +266,9 @@ def test_criterion_08_generator_census(census4, gencensus4):
     # Peeling-order independence, demonstrated on the smallest class.
     d_members = census4.trigg_members("D")
     group_d = symmetry_group(d_members)
-    forward = symmetric_closure_partition(d_members, group_d, "D")
+    forward = symmetric_closure_partition(decompose(d_members, group_d, "D"))
     reversed_members = sorted(d_members, key=encode_square, reverse=True)
-    backward = symmetric_closure_partition(reversed_members, group_d, "D")
+    backward = symmetric_closure_partition(decompose(reversed_members, group_d, "D"))
     as_sets = lambda p: {frozenset(m.cells for m in o.members) for o in p.orbits}
     assert as_sets(forward) == as_sets(backward)
     print(

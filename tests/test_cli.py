@@ -347,6 +347,19 @@ def test_pipeline_shard_plan_needs_order5(order, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["1,x", ""])
+def test_pipeline_rejects_non_integer_shard_value(value, tmp_path, capsys):
+    # A usage error naming the option, as `enumerate --shard-value x` is.
+    out = tmp_path / "p5"
+    argv = ["pipeline", "--order", "5", "--out-dir", str(out), "--long-run"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--shard-value", value])
+    assert exc.value.code == 2
+    expected = f"argument --shard-value: expected comma-separated integers, got {value!r}"
+    assert capsys.readouterr().err.endswith(f"{expected}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("order", ["3", "4"])
 def test_pipeline_long_run_needs_order5(order, tmp_path, capsys):
     out = tmp_path / "p"

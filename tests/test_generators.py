@@ -25,7 +25,7 @@ from magicgen.groups import (
     symmetry_group,
 )
 from magicgen.pipeline import attach_orbits, classify_catalog
-from magicgen.squares import Transformation, encode_square, grid_symmetries
+from magicgen.squares import Square, Transformation, encode_square, grid_symmetries
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ def partition3(all3):
 def test_order3_single_orbit(all3, partition3):
     assert len(partition3.orbits) == 1
     assert partition3.size_histogram == {8: 1}
-    closure = symmetric_closure_partition(all3, symmetry_group(all3), "order3")
+    closure = symmetric_closure_partition(partition3)
     assert closure.size_histogram == {8: 1}
     assert closure.generators() == partition3.generators()
 
@@ -246,48 +246,45 @@ def test_repeated_square_rejected(all3):
     message = f"subject repeats the square {encode_square(all3[0])}$"
     with pytest.raises(ValueError, match=message):
         decompose(repeated, symmetry_group(all3))
-    with pytest.raises(ValueError, match=message):
-        symmetric_closure_partition(repeated, symmetry_group(all3))
 
 
 def test_empty_subject_rejected(all3):
     with pytest.raises(ValueError, match="subject is empty$"):
         decompose([], symmetry_group(all3))
-    with pytest.raises(ValueError, match="subject is empty$"):
-        symmetric_closure_partition([], symmetry_group(all3))
 
 
 def test_closure_partition_keys_one_square_per_dihedral_orbit(
     census4, by_letter, monkeypatch
 ):
-    # Trigg classes are closed under the 8 grid symmetries, and each of
-    # those orbits has 8 squares, so given only those class B needs
-    # 3,968 / 8 keys.  Given the class's symmetry group, as class_census
-    # gives it, a key serves a whole group orbit: 3,968 / 32.
+    # Trigg classes are closed under the 8 grid symmetries, whose orbits
+    # have 8 squares each, so merging class B's dihedral orbits takes
+    # 3,968 / 8 keys.  Merging the orbits of the class's symmetry group,
+    # as class_census does, takes one key per group orbit: 3,968 / 32.
     calls = []
     key = generators.canonical_key
     monkeypatch.setattr(
         generators, "canonical_key", lambda sq: calls.append(sq) or key(sq)
     )
     members = census4.trigg_members("B")
-    dihedral = TransformationGroup(grid_symmetries(4), frozenset(), 4)
-    part = symmetric_closure_partition(members, dihedral, "trigg_B")
+    cells = frozenset(sq.cells for sq in members)
+    dihedral = TransformationGroup(grid_symmetries(4), cells, 4)
+    part = symmetric_closure_partition(decompose(members, dihedral, "trigg_B"))
     assert len(members) == 3968
     assert len(calls) == 496
     assert part.size_histogram == REFERENCE_HISTOGRAMS["B"]
     group = by_letter["B"].group
     calls.clear()
-    grouped = symmetric_closure_partition(members, group, "trigg_B")
+    grouped = symmetric_closure_partition(decompose(members, group, "trigg_B"))
     assert len(calls) == len(members) // len(group) == 124
     assert grouped == part
     assert grouped.size_histogram == REFERENCE_HISTOGRAMS["B"]
 
 
 def test_partitions_encode_each_square_once(census4, monkeypatch):
-    # A partition sorts a plain subject by encoding once and takes the
-    # census's EncodingOrder as it stands; class_census sorts a plain
-    # subject once for both partitions.  Orbits hold the subject's own
-    # squares.
+    # decompose sorts a plain subject by encoding once and takes the
+    # census's EncodingOrder as it stands, and merging its orbits into
+    # closure classes encodes nothing; class_census sorts a plain subject
+    # once for both partitions.  Orbits hold the subject's own squares.
     calls = []
     encode = groups.encode_square
     monkeypatch.setattr(
@@ -299,14 +296,14 @@ def test_partitions_encode_each_square_once(census4, monkeypatch):
     own = {id(sq) for sq in members}
     group = symmetry_group(members)
     for subject, encodings in ((plain, 3968), (members, 0)):
-        for partition in (
-            lambda: decompose(subject, group, "trigg_B"),
-            lambda: symmetric_closure_partition(subject, group, "trigg_B"),
-        ):
-            calls.clear()
-            part = partition()
-            assert len(calls) == encodings
-            assert all(id(m) in own for orb in part.orbits for m in orb.members)
+        calls.clear()
+        part = decompose(subject, group, "trigg_B")
+        assert len(calls) == encodings
+        calls.clear()
+        closure = symmetric_closure_partition(part)
+        assert calls == []
+        for partition in (part, closure):
+            assert all(id(m) in own for orb in partition.orbits for m in orb.members)
     calls.clear()
     from_plain = class_census("B", plain, "trigg_B")
     assert len(calls) == 3968
@@ -327,6 +324,28 @@ def test_closure_partitions_keep_the_keys_they_filed(gencensus4):
         )
 
 
+def test_closure_orbits_merge_whole_group_orbits(partition3, gencensus4):
+    # Each closure orbit is a union of group orbits, led by the first of
+    # them and filed under its generator's key; there is one closure orbit
+    # per distinct generator key.
+    pairs = [(partition3, symmetric_closure_partition(partition3))]
+    pairs += [(cls.group_partition, cls.closure_partition) for cls in gencensus4.classes]
+    for group_part, closure_part in pairs:
+        closure_of = {}
+        for index, orb in enumerate(closure_part.orbits):
+            closure_of.update(dict.fromkeys((m.cells for m in orb.members), index))
+        first: dict[int, Orbit] = {}
+        for orb in group_part.orbits:
+            (index,) = {closure_of[m.cells] for m in orb.members}
+            first.setdefault(index, orb)
+        assert sorted(first) == list(range(len(closure_part.orbits)))
+        for index, orb in enumerate(closure_part.orbits):
+            assert orb.generator == first[index].generator
+            assert closure_part.keys[index] == canonical_key(first[index].generator)
+        keys = {canonical_key(orb.generator) for orb in group_part.orbits}
+        assert len(closure_part.orbits) == len(keys)
+
+
 def test_census_call_budget(catalog4, monkeypatch):
     # The deterministic work of a census, from the catalog to labelled
     # records: each square is encoded once (the Dudeney sort), signatures
@@ -335,8 +354,17 @@ def test_census_call_budget(catalog4, monkeypatch):
     # few generators (1,510 compositions for Trigg A over its three
     # passes, 160 for B and C, 175 for D; checking every pair took
     # 40,871).  Compositions are the image getters applied to a cell map
-    # (a tuple holding 0) rather than to a square's cells.
+    # (a tuple holding 0) rather than to a square's cells.  Each square is
+    # hashed once, into its group orbit; closure classes are unions of
+    # those orbits and reuse their hashes.
     counts = Counter()
+    square_hash = Square.__hash__
+
+    def counted_hash(sq):
+        counts["Square.__hash__"] += 1
+        return square_hash(sq)
+
+    monkeypatch.setattr(Square, "__hash__", counted_hash)
 
     def counted(kind, original):
         return lambda *args: counts.update([kind]) or original(*args)
@@ -366,4 +394,5 @@ def test_census_call_budget(catalog4, monkeypatch):
         "signature": 880,
         "canonical_key": 190,
         "composition": 2005,
+        "Square.__hash__": 7040,
     }

@@ -273,7 +273,7 @@ def test_seeded_subjects_match_the_references(catalog4):
             (encode_square(min(members, key=encode_square)), {m.cells for m in members})
             for members in by_key.values()
         )
-        parts = symmetric_closure_partition(subject, group).orbits
+        parts = symmetric_closure_partition(decompose(subject, group)).orbits
         got = [(encode_square(o.generator), {m.cells for m in o.members}) for o in parts]
         assert got == expected
     assert nontrivial >= 10
