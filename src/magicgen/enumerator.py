@@ -31,19 +31,24 @@ with distinct prefixes explore disjoint subtrees and the union over all
 prefixes covers the whole space; this is the unit of parallel and
 resumable work.
 
-A full order-4 run (no shard) searches only a 32nd of the tree.  The 32
+A full order-4 run (no shard) searches only a 32nd of the tree, and of
+that only the subtrees where value 1 sits at a or at b.  The 32
 (row perm, column perm, transpose) triples of _line_group keep every
 square magic, and since a square's values are distinct they act freely:
-every orbit holds 32 squares.  The search keeps the squares that are
-least in their orbit (220 of 7,040), maps each through the 32 cell maps,
-checks that the images are pairwise distinct, and sorts them by trial
-values.  A plain search emits in exactly that order, so the stream is
-unchanged.  The expanded catalog is kept for the life of the process, and
-an order-4 shard is the part of it whose leading trial values equal the
-shard's prefix.  A shard's subtree holds exactly those squares, and the
-catalog is sorted by trial values, so they form a contiguous slice found
-by binary search: each shard emits what a search of its subtree would,
-in the same order.
+every orbit holds 32 squares.  The group moves every cell onto a or onto
+b, so each orbit has exactly one image with 1 at a and b below c, e and
+i, or with 1 at b and a below d, f and j (220 of 7,040).  Two pinned
+searches, a = 1 and b = 1, find them through the floors the orbit-least
+search uses; each is mapped through the 32 cell maps, the images are
+checked pairwise distinct and sorted by trial values.  A plain search
+emits in exactly that order, so the stream is unchanged.  At order 5
+every map fixes the centre, so a square with 1 there has no such image
+and the anchoring does not carry over as it stands.  The expanded catalog
+is kept for the life of the process, and an order-4 shard is the part of
+it whose leading trial values equal the shard's prefix.  A shard's
+subtree holds exactly those squares, and the catalog is sorted by trial
+values, so they form a contiguous slice found by binary search: each
+shard emits what a search of its subtree would, in the same order.
 """
 
 from __future__ import annotations
@@ -206,33 +211,37 @@ def _line_group(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _orbit_floors(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Cells that exceed trial cells 0 and 1 in an orbit-least square.
+def _orbit_floors(n: int, first: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Cells that exceed trial cells 0 and 1 in one image of every orbit.
 
-    A square is least in its orbit under _line_group when trial cell 0 is
-    below every other cell of its orbit, and trial cell 1 below every other
-    cell of its orbit under cell 0's stabiliser.  The group acts freely, so
-    the first condition keeps the images under one coset of the stabiliser
-    and the second exactly one of those: one image per orbit passes.
+    `first` is the anchor's trial level, 0 or 1, and the other of the two
+    leading trial cells is the second cell.  An image passes when the anchor
+    is below every other cell of its orbit under _line_group, and the second
+    cell below every other cell of its orbit under the anchor's stabiliser.
+    The group acts freely, so the first condition keeps the images under one
+    coset of the stabiliser and the second exactly one of those: one image
+    per orbit passes.  Entry k lists the cells that must exceed trial cell
+    k.  With first = 0 this is the orbit-least predicate; with the anchor
+    pinned to the value 1 its own floors hold by themselves.
     """
     maps = _line_group(n)
     plan = _plan(n)
-    first, second = plan.trials[:2]
-    stabiliser = [m for m in maps if m[first] == first]
-    above_first = tuple(sorted({m[first] for m in maps} - {first}))
+    anchor, second = plan.trials[first], plan.trials[1 - first]
+    stabiliser = [m for m in maps if m[anchor] == anchor]
+    above_anchor = tuple(sorted({m[anchor] for m in maps} - {anchor}))
     above_second = tuple(sorted({m[second] for m in stabiliser} - {second}))
+    floors = (above_anchor, above_second) if first == 0 else (above_second, above_anchor)
     placed = {cell: level for level, cell in enumerate(plan.trials)}
     for level, deps in enumerate(plan.forced):
         placed.update((dep[0], level) for dep in deps)
     # Exactly one image passes only if the stabiliser moves the second cell
     # freely, and a floor holds only for cells placed after its anchor.
-    if (
-        len(above_second) + 1 != len(stabiliser)
-        or any(placed.get(c, -1) < 1 for c in above_first)
-        or any(placed.get(c, -1) < 2 for c in above_second)
+    if len(above_second) + 1 != len(stabiliser) or any(
+        placed.get(c, -1) <= level for level, cells in enumerate(floors) for c in cells
     ):
-        raise ValueError(f"order {n} has no orbit-least floors")  # unreachable at 4 and 5
-    return above_first, above_second
+        # Unreachable at orders 4 and 5.
+        raise ValueError(f"order {n} has no orbit floors on trial cell {first}")
+    return floors
 
 
 def _checked_prefix(n: int, prefix: Sequence[int]) -> tuple[int, ...]:
@@ -270,7 +279,7 @@ def checked_plan(n: int, shards: Sequence[Sequence[int]]) -> int:
 
 
 def _iter_generic(
-    n: int, prefix: tuple[int, ...], least: bool = False
+    n: int, prefix: tuple[int, ...], floors: Sequence[Sequence[int]] = ()
 ) -> Iterator[tuple[int, ...]]:
     """Propagating backtracker over the free-cell basis.
 
@@ -300,11 +309,12 @@ def _iter_generic(
     The candidate mask is scanned lowest bit first, so the emission order
     is the plain lexicographic order of trial assignments.
 
-    Every cell has a floor its value must exceed, 0 unless `least`.  With
-    `least`, entering levels 1 and 2 sets the floors of _orbit_floors to
-    the values of trial cells 0 and 1, so only orbit-least squares are
-    emitted.  A trial scan starts at its cell's floor + 1, and a
-    dependent's v-window keeps it above its floor.
+    Trial cell k takes the value prefix[k], or any value where that is 0.
+    Every cell has a floor its value must exceed, 0 unless `floors` names
+    it: entering level k + 1 sets the floors of the cells in floors[k] to
+    the value of trial cell k, so with the floors of _orbit_floors only
+    one image per orbit is emitted.  A trial scan starts at its cell's
+    floor + 1, and a dependent's v-window keeps it above its floor.
     """
     plan = _plan(n)
     n2 = n * n
@@ -325,10 +335,10 @@ def _iter_generic(
         used0 |= 1 << v
         rused0 |= 1 << mirror - v
 
+    pins = [1 << v if v else -1 for v in prefix]
     floor = [0] * n2
-    floors_from: list[tuple[int, ...]] = [()] * (last + 2)
-    if least:
-        floors_from[1], floors_from[2] = _orbit_floors(n)
+    floors_from: list[Sequence[int]] = [()] * (last + 2)
+    floors_from[1 : len(floors) + 1] = floors
     tvals = [0] * (last + 1)
 
     def place(level: int, used: int, rused: int, need: list[int], bases: Sequence[int]):
@@ -388,7 +398,7 @@ def _iter_generic(
         if parity >= 0:
             cand &= parity_mask[parity]
         if level < plen:
-            cand &= 1 << prefix[level]
+            cand &= pins[level]
 
         while cand:
             bit = cand & -cand
@@ -436,16 +446,37 @@ def _iter_generic(
     yield from place(0, used0, rused0, list(plan.need0), plan.bases0)
 
 
+def _order4_representatives() -> list[tuple[int, ...]]:
+    """One square of every order-4 orbit: the image placing 1 at a or at b.
+
+    The group moves every cell onto trial cell 0 (a) or trial cell 1 (b),
+    so value 1 sits at a in one coset of a's stabiliser and at b in one of
+    b's.  The search with a pinned to 1 keeps b below the other cells of
+    its orbit under a's stabiliser (c, e, i); the one with b pinned to 1,
+    a below those of its orbit under b's stabiliser (d, f, j).  Each is
+    a search of a's or b's subtree, so the two lists come in trial order,
+    a = 1 first.
+    """
+    trials = trial_cells(4)
+    on_a, on_b = _orbit_floors(4, 0), _orbit_floors(4, 1)
+    if {trials[0], trials[1], *on_a[0], *on_b[1]} != set(range(16)):
+        # Unreachable while a and b lie in different orbits of 8 cells.
+        raise ValueError("order 4 has a cell that is not in the orbit of a or b")
+    return [*_iter_generic(4, (1,), on_a), *_iter_generic(4, (0, 1), on_b)]
+
+
 @lru_cache(maxsize=None)
 def _order4_by_orbits() -> tuple[tuple[int, ...], ...]:
-    """Every order-4 square, in emission order, from the orbit-least ones.
+    """Every order-4 square, in emission order, from one square per orbit.
 
-    Built once per process on first use; every order-4 run, sharded or
-    not, reads this tuple.
+    Each of the 220 representatives of _order4_representatives is mapped
+    through the 32 cell maps, the 7,040 images are checked pairwise
+    distinct and sorted by trial values, the plain search's order.  Built
+    once per process on first use; every order-4 run, sharded or not,
+    reads this tuple.
     """
     images = [itemgetter(*m) for m in _line_group(4)]
-    least = _iter_generic(4, (), least=True)
-    squares = [image(cells) for cells in least for image in images]
+    squares = [image(cells) for cells in _order4_representatives() for image in images]
     if len(set(squares)) != len(squares):
         # Unreachable while the maps form a group acting freely.
         raise RuntimeError("orbit images of the order-4 search repeat a square")

@@ -21,7 +21,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from .catalog import (
     CatalogRecord,
@@ -53,7 +53,9 @@ REPORT_JSON = "report.json"
 
 
 def classify_catalog(
-    squares: Sequence[Square], dudeney: DudeneyCensus
+    squares: Sequence[Square],
+    dudeney: DudeneyCensus,
+    orbits: Mapping[tuple[int, ...], tuple[int, bool]] | None = None,
 ) -> list[CatalogRecord]:
     """One record per square, labelled from the census partition that holds it.
 
@@ -61,7 +63,9 @@ def classify_catalog(
     looked up by cells, not recomputed; a square outside the census is a
     ValueError.  This lookup is the package's one classification path.
     Broken diagonals are counted once, for every square in one batch, for
-    the records and the VI split.
+    the records and the VI split.  With `orbits` (from attach_orbits) each
+    record also carries its orbit id and generator flag; without, both
+    stay None.
     """
     label_by_cells = {
         sq.cells: dudeney.labels[cls.signature]
@@ -78,6 +82,7 @@ def classify_catalog(
     broken_counts = magic_broken_diagonal_counts(squares)
     for i, (sq, label, broken) in enumerate(zip(squares, labels, broken_counts)):
         label = with_vi_split(label, broken)
+        orbit_id, is_generator = orbits[sq.cells] if orbits is not None else (None, None)
         records.append(
             CatalogRecord(
                 line=i,
@@ -86,25 +91,21 @@ def classify_catalog(
                 trigg=label.trigg,
                 vi_split=label.vi_split,
                 broken_diagonals=broken,
+                orbit_id=orbit_id,
+                is_generator=is_generator,
             )
         )
     return records
 
 
-def attach_orbits(
-    records: Iterable[CatalogRecord], gens: GeneratorCensus
-) -> list[CatalogRecord]:
-    """Fill orbit_id/is_generator from the closure partitions, keyed by cells."""
-    orbits = [orb for cls in gens.classes for orb in cls.closure_partition.orbits]
-    orbit_of = {m.cells: oid for oid, orb in enumerate(orbits) for m in orb.members}
-    generators = {orb.generator.cells for orb in orbits}
-    return [
-        CatalogRecord(
-            r.line, r.square, r.dudeney, r.trigg, r.vi_split, r.broken_diagonals,
-            orbit_of[r.square.cells], r.square.cells in generators,
-        )
-        for r in records
-    ]
+def attach_orbits(gens: GeneratorCensus) -> dict[tuple[int, ...], tuple[int, bool]]:
+    """Cells -> (orbit id, generator flag) over the closure partitions."""
+    orbit_of: dict[tuple[int, ...], tuple[int, bool]] = {}
+    orbits = (orb for cls in gens.classes for orb in cls.closure_partition.orbits)
+    for oid, orb in enumerate(orbits):
+        orbit_of.update(dict.fromkeys((m.cells for m in orb.members), (oid, False)))
+        orbit_of[orb.generator.cells] = (oid, True)
+    return orbit_of
 
 
 def _histogram_str(hist: dict) -> str:
@@ -300,7 +301,7 @@ def _run_small(order: int, out: Path, log) -> PipelineSummary:
     if dudeney is not None:
         log("# stage=classify classes=12")
         gens = generator_census(dudeney)
-        records = attach_orbits(classify_catalog(squares, dudeney), gens)
+        records = classify_catalog(squares, dudeney, attach_orbits(gens))
         write_atomic(out / "classes.tsv", classification_text(records))
     else:
         # Without Dudeney/Trigg classes the whole catalog is one class.

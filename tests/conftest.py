@@ -57,6 +57,14 @@ def is_least(cells: tuple[int, ...], n: int) -> bool:
     )
 
 
+def is_anchored(cells: tuple[int, ...]) -> bool:
+    """The order-4 representative: 1 at a and b below c, e and i, or 1 at b
+    and a below d, f and j."""
+    return (cells[0] == 1 and cells[1] < min(cells[2], cells[4], cells[8])) or (
+        cells[1] == 1 and cells[0] < min(cells[3], cells[5], cells[9])
+    )
+
+
 def from_rows(rows: Iterable[Iterable[int]]) -> Square:
     """The square whose rows, top to bottom, are the given ones."""
     grid = [list(r) for r in rows]

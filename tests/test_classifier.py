@@ -398,7 +398,7 @@ class TestClassifyCatalog:
             raise AssertionError("attach_orbits encoded a square")
 
         monkeypatch.setattr(pipeline, "encode_square", no_encode)
-        attached = attach_orbits(records, gencensus4)
+        attached = classify_catalog(catalog4, census4, attach_orbits(gencensus4))
         orbits = [o for cls in gencensus4.classes for o in cls.closure_partition.orbits]
         assert [replace(r, orbit_id=None, is_generator=None) for r in attached] == records
         for r in attached:

@@ -3,7 +3,11 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from magicgen.catalog import catalog_text, read_catalog, read_classification
 from magicgen.enumerator import count_squares, iter_squares, single_cell_shards
 from magicgen.pipeline import emit_report, report_data, run_pipeline
 from magicgen.squares import encode_square
+from perfbench import gates
 
 # sha256 of `enumerate --order 4 --shard-cell a --shard-value 16 --out`
 # as written before the catalog went through catalog_text.
@@ -510,3 +515,29 @@ def test_untrusted_count_file_is_recounted(text, tmp_path):
     assert sum("status=recounted" in e for e in shard_events) == 1
     assert sum("status=resumed" in e for e in shard_events) == 1
     assert victim.read_text() == good
+
+
+def test_traced_order4_pipeline_matches_the_digest(tmp_path):
+    # The benchmark's traced pipeline run, end to end in a fresh process:
+    # the wrappers must leave every artifact byte-identical and record the
+    # classification, orbit and enumeration spans.
+    root = Path(__file__).resolve().parents[1]
+    out_dir = tmp_path / "out"
+    spans_file = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [
+            sys.executable, str(root / "perfbench" / "traced_cli.py"),
+            "--spans", str(spans_file), "--run-id", "smoke", "--first-id", "1",
+            "--", "pipeline", "--order", "4", "--out-dir", str(out_dir),
+        ],
+        env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert gates.artifact_digest(out_dir) == gates.PIPELINE_DIGEST
+    names = {span["name"] for span in json.loads(spans_file.read_text())["spans"]}
+    assert {
+        "pipeline.classify_catalog",
+        "pipeline.attach_orbits",
+        "enumerator.iter_squares",
+    } <= names

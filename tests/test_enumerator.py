@@ -6,7 +6,7 @@ from itertools import islice, permutations
 from operator import itemgetter
 
 import pytest
-from conftest import is_least, solve
+from conftest import is_anchored, is_least, solve
 
 from magicgen import enumerator
 from magicgen.constraints import build_system
@@ -14,6 +14,7 @@ from magicgen.enumerator import (
     _iter_generic,
     _line_group,
     _order4_by_orbits,
+    _order4_representatives,
     _orbit_floors,
     _plan,
     count_squares,
@@ -195,17 +196,53 @@ class TestOrbitLeastOrder4:
         assert [sq.cells for sq in catalog4] == shards
 
     def test_least_squares_are_the_catalog_squares_passing_the_predicate(self, catalog4):
-        least = list(_iter_generic(4, (), least=True))
+        least = list(_iter_generic(4, (), _orbit_floors(4, 0)))
         assert len(least) == 220
         assert len(least) * len(_line_group(4)) == 7040
         assert least == [sq.cells for sq in catalog4 if is_least(sq.cells, 4)]
+
+    def test_representatives_are_the_catalog_squares_placing_1_at_a_or_b(self, catalog4):
+        # The two anchored searches, a = 1 then b = 1, emit in trial order,
+        # so their concatenation is the catalog filtered in place.
+        reps = _order4_representatives()
+        assert reps == [sq.cells for sq in catalog4 if is_anchored(sq.cells)]
+        assert sum(cells[0] == 1 for cells in reps) == 104
+        assert sum(cells[1] == 1 for cells in reps) == 116
+        assert len(reps) * len(_line_group(4)) == 7040
+
+    def test_anchored_floors_derived_from_the_group(self):
+        # b's orbit under a's stabiliser is {b, c, e, i}, a's under b's is
+        # {a, d, f, j}; the anchor's own floors (the rest of its 8-cell
+        # orbit) hold by themselves once it is pinned to 1.
+        assert _orbit_floors(4, 0) == ((3, 5, 6, 9, 10, 12, 15), (2, 4, 8))
+        assert _orbit_floors(4, 1) == ((3, 5, 9), (2, 4, 7, 8, 11, 13, 14))
+
+    def test_cell_outside_both_anchor_orbits_raises(self, monkeypatch):
+        # At order 5 the centre is fixed by every map, so a square with 1 at
+        # the centre has no image placing 1 at a or b.  An order-4 group
+        # with the same defect must be refused, not searched.
+        on_b = _orbit_floors(4, 1)
+        monkeypatch.setattr(
+            enumerator, "_orbit_floors", lambda n, first: on_b if first else ((3,), (2,))
+        )
+        with pytest.raises(ValueError, match="not in the orbit of a or b"):
+            _order4_representatives()
+
+    def test_floors_placed_before_their_anchor_raise(self, monkeypatch):
+        # A floor set on entering level 1 cannot bind a cell placed at
+        # level 0: a group that would need one is refused.
+        maps = _line_group(4)
+        swap = tuple(1 if c == 0 else 0 if c == 1 else c for c in range(16))
+        monkeypatch.setattr(enumerator, "_line_group", lambda n: maps + (swap,))
+        with pytest.raises(ValueError, match="no orbit floors"):
+            _orbit_floors.__wrapped__(4, 1)
 
     def test_repeated_image_raises(self, monkeypatch):
         # A map listed twice would emit its images twice.  The floors are
         # cached from the true group first, so only the expansion sees it,
         # and the unmemoized builder runs, not a catalog cached earlier.
         maps = _line_group(4)
-        _orbit_floors(4)
+        _orbit_floors(4, 0), _orbit_floors(4, 1)
         monkeypatch.setattr(enumerator, "_line_group", lambda n: maps[:1] + maps[:-1])
         with pytest.raises(RuntimeError, match="repeat a square"):
             _order4_by_orbits.__wrapped__()

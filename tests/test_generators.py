@@ -387,7 +387,7 @@ def test_census_call_budget(catalog4, monkeypatch):
     monkeypatch.setattr(groups, "itemgetter", counting_getter)
     dudeney = DudeneyCensus.from_catalog(catalog4)
     gens = census(dudeney)
-    records = attach_orbits(classify_catalog(catalog4, dudeney), gens)
+    records = classify_catalog(catalog4, dudeney, attach_orbits(gens))
     assert len(records) == 7040 and gens.total_generators == 95
     assert counts == {
         "encode_square": 7040,

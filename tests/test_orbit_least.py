@@ -1,9 +1,10 @@
-"""The orbit-least search, proved from the test side.
+"""The orbit-least and value-1 anchored searches, proved from the test side.
 
-The engine derives its 32-map group and its orbit-least predicate from
-the group.  Here the group is found again by brute force over
-`conftest.universe`, and the predicate is written out by hand, so both are
-checked against references that share no code with the engine.
+The engine derives its 32-map group, its orbit-least predicate and the
+order-4 predicate anchored on the cell of value 1 from the group.  Here
+the group is found again by brute force over `conftest.universe`, and the
+predicates are written out by hand, so each is checked against references
+that share no code with the engine.
 """
 
 from __future__ import annotations
@@ -13,9 +14,15 @@ from itertools import islice
 from operator import itemgetter
 
 import pytest
-from conftest import is_least, universe
+from conftest import is_anchored, is_least, universe
 
-from magicgen.enumerator import _iter_generic, _line_group, iter_squares, trial_cells
+from magicgen.enumerator import (
+    _iter_generic,
+    _line_group,
+    _orbit_floors,
+    iter_squares,
+    trial_cells,
+)
 from magicgen.squares import Transformation, _is_magic_grid
 
 
@@ -68,6 +75,11 @@ def test_order4_exactly_one_image_least(catalog4):
         assert sum(is_least(img, 4) for img in images(sq.cells, 4)) == 1
 
 
+def test_order4_exactly_one_image_anchored(catalog4):
+    for sq in catalog4:
+        assert sum(is_anchored(img) for img in images(sq.cells, 4)) == 1
+
+
 def test_order5_exactly_one_image_least(shard13_head):
     for cells in shard13_head:
         imgs = images(cells, 5)
@@ -88,7 +100,7 @@ def test_order5_deep_prefixes_keep_the_least_squares(shard13_head):
     ] + [tuple(rng.sample(range(1, 26), 12)) for _ in range(8)]
     nonempty = 0
     for prefix in prefixes:
-        reduced = list(_iter_generic(5, prefix, least=True))
+        reduced = list(_iter_generic(5, prefix, _orbit_floors(5, 0)))
         full = [cells for cells in _iter_generic(5, prefix) if is_least(cells, 5)]
         assert reduced == full, prefix
         nonempty += bool(reduced)
@@ -101,7 +113,7 @@ def test_order5_shallow_prefix_keeps_the_least_squares():
     # levels 1 and 2 must bind inside the scans, not only on pinned values.
     # With a00 = 4 the full stream holds 8 squares that are not least
     # before its 20th least one (with a00 = 3 it holds none).
-    reduced = list(islice(_iter_generic(5, (4,), least=True), 20))
+    reduced = list(islice(_iter_generic(5, (4,), _orbit_floors(5, 0)), 20))
     full = []
     dropped = 0
     for cells in _iter_generic(5, (4,)):
