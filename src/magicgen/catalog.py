@@ -11,9 +11,9 @@ squares to a handle, and catalog_text is the same text as one string.  A
 line's tokens are mapped to ints through the order's value table (int()
 reads any line with a token the table lacks).  verify_catalog builds no
 Square: a line of n^2 distinct table values is a permutation, and line
-sums are added column-wise over batches of consecutive squares.  It holds
-the squares seen, one batch and the first 20 problems, never the file's
-text.
+sums are added column-wise over batches of consecutive squares, which
+name each non-magic square directly.  It holds the squares seen, one
+batch and the first 20 problems, never the file's text.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from typing import Iterable, Iterator, TextIO
 
 from .squares import (
     Square,
-    _all_magic,
-    _is_magic_grid,
+    _line_sums,
     _table_cells,
     _tables,
     encode_square,
+    magic_constant,
     parse_square,
 )
 
@@ -147,16 +147,16 @@ def verify_catalog(path: str | os.PathLike, order: int | None = None) -> Catalog
     """Re-parse a catalog and re-check every square; problems past 20 are counted.
 
     A line that is not n^2 distinct table values goes through parse_square,
-    for its problem or its cells.  Line sums are checked per batch of up to
-    _BATCH consecutive squares of one order, and square by square only in a
-    batch that fails, to name its squares.  The batch is checked before any
-    other problem is noted, a duplicate's own line included, so problems
-    arrive in line order.
+    for its problem or its cells.  Line sums are taken per batch of up to
+    _BATCH consecutive squares of one order, each square's sums naming it
+    if it is not magic.  The batch is checked before any other problem is
+    noted, a duplicate's own line included, so problems arrive in line
+    order.
     """
     shown: list[str] = []
     problems = 0
     seen: set[tuple[int, ...]] = set()
-    batch: list[tuple[int, ...]] = []
+    batch: list[tuple[int, tuple[int, ...]]] = []  # (line number, cells)
     batch_order = 0
     count = 0
 
@@ -166,15 +166,17 @@ def verify_catalog(path: str | os.PathLike, order: int | None = None) -> Catalog
         if problems <= 20:
             shown.append(f"line {lineno}: {text}")
 
-    def check_batch(end: int) -> None:
-        """Note each batch square that is not magic; the batch ends before `end`."""
-        if batch and not _all_magic(batch, batch_order):
-            for lineno, cells in enumerate(batch, end - len(batch)):
-                if not _is_magic_grid(cells, batch_order):
+    def check_batch() -> None:
+        """Note each batch square that is not magic, in line order."""
+        if batch:
+            linenos, grids = zip(*batch)
+            getters = _tables(batch_order).magic_getters
+            magic = (magic_constant(batch_order),) * len(getters)
+            for lineno, sums in zip(linenos, _line_sums(grids, getters)):
+                if sums != magic:
                     note(lineno, "square is not magic")
-        batch.clear()
+            batch.clear()
 
-    lineno = -1
     for lineno, (line, n) in enumerate(_catalog_lines(Path(path), order)):
         tokens = line.split()
         k = n if n is not None else isqrt(len(tokens))
@@ -183,19 +185,19 @@ def verify_catalog(path: str | os.PathLike, order: int | None = None) -> Catalog
             try:
                 cells = parse_square(line, n).cells
             except ValueError as exc:
-                check_batch(lineno)
+                check_batch()
                 note(lineno, str(exc))
                 continue
         count += 1
         if k != batch_order or len(batch) == _BATCH:
-            check_batch(lineno)
+            check_batch()
             batch_order = k
-        batch.append(cells)
+        batch.append((lineno, cells))
         if cells in seen:
-            check_batch(lineno + 1)
+            check_batch()
             note(lineno, "duplicate square")
         seen.add(cells)
-    check_batch(lineno + 1)
+    check_batch()
     if problems > 20:
         shown.append(f"... {problems - 20} further problems suppressed")
     return CatalogVerdict(not problems, count, tuple(shown))

@@ -17,22 +17,24 @@ pass behind every partition of squares, and names them:
   do not depend on the within-group order.
 * Class VI (the 2432 class) splits VI''/VI' by whether some broken
   diagonal sums to 34.  magic_broken_diagonal_counts counts those
-  diagonals for a whole catalog at once.
+  diagonals in the sums squares._line_sums takes for a whole catalog.
 
-The census is the one classification path: pipeline.classify_catalog
-labels each square by the class that holds it.  The paper's supervised
-classifier is reproduced, with held-out figures, in the tests.
+The census is the one classification path: DudeneyCensus files each
+square's label under its cells once, and pipeline.classify_catalog,
+trigg_members and trigg_populations all read that table.  The paper's
+supervised classifier is reproduced, with held-out figures, in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial, reduce
-from operator import add, itemgetter
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .groups import EncodingOrder, _grouped, in_encoding_order
-from .squares import Square, _tables, encode_square, is_normal_magic, magic_constant
+from .squares import Square, _line_sums, _tables, encode_square, is_normal_magic, magic_constant
 
 PairingSignature = tuple[tuple[int, int], ...]
 
@@ -62,13 +64,16 @@ class ClassLabel:
 
 
 # Per grid symmetry, the sorted image of every cell pair (a, b), indexed
-# a * 16 + b; a signature is the least sorted image of the 8 pairs
-# (v, 17 - v).  The 8 symmetries are closed under inverses, so reading
-# their cell maps as "cell i moves to map[i]" gives the same 8 images.
-_PAIR_IMAGES4 = tuple(
-    [tuple(sorted((m[a], m[b]))) for a in range(16) for b in range(16)]
-    for m in (image(range(16)) for image in _tables(4).dihedral)
-)
+# a * 16 + b, built on the first signature; a signature is the least sorted
+# image of the 8 pairs (v, 17 - v).  The 8 symmetries are closed under
+# inverses, so reading their cell maps as "cell i moves to map[i]" gives
+# the same 8 images.
+@lru_cache(maxsize=None)
+def _pair_images4() -> tuple[list[tuple[int, int]], ...]:
+    return tuple(
+        [tuple(sorted((m[a], m[b]))) for a in range(16) for b in range(16)]
+        for m in (image(range(16)) for image in _tables(4).dihedral)
+    )
 
 
 def signature(square: Square) -> PairingSignature:
@@ -77,23 +82,15 @@ def signature(square: Square) -> PairingSignature:
         raise ValueError(f"signatures are defined for order 4, got {square.order}")
     at = square.cells.index
     pairs = itemgetter(*[at(v) * 16 + at(17 - v) for v in range(1, 9)])
-    return min(tuple(sorted(pairs(images))) for images in _PAIR_IMAGES4)
+    return min(tuple(sorted(pairs(images))) for images in _pair_images4())
 
 
 def magic_broken_diagonal_counts(squares: Sequence[Square]) -> list[int]:
-    """Per order-4 square, how many broken diagonals sum to the magic constant.
-
-    Each diagonal is summed for every square at once, column-wise: the
-    squares' cells at its first index plus those at its second, and so on,
-    all as C-level maps.  A square's count is then taken from its sums.
-    """
-    if not squares:
-        return []
-    columns = list(zip(*[sq.cells for sq in squares]))
-    add_columns = partial(map, add)
-    sums = [reduce(add_columns, line(columns)) for line in _tables(4).broken_getters]
+    """Per order-4 square, how many broken diagonals sum to the magic constant,
+    counted in the diagonal sums _line_sums takes for every square at once."""
+    sums = _line_sums([sq.cells for sq in squares], _tables(4).broken_getters)
     mu = magic_constant(4)
-    return [diagonals.count(mu) for diagonals in zip(*sums)]
+    return [diagonals.count(mu) for diagonals in sums]
 
 
 @dataclass(frozen=True)
@@ -165,22 +162,27 @@ def with_vi_split(label: ClassLabel, broken_diagonals: int) -> ClassLabel:
     return ClassLabel(label.dudeney, label.trigg, split)
 
 
+@dataclass(frozen=True)
 class DudeneyCensus:
     """Discovered classes plus labels for the complete order-4 catalog.
 
     catalog holds the classes' squares in ascending encoding order: the
-    one sort by encoding a census makes.
+    one sort by encoding a census makes.  label_by_cells, built once from
+    classes and labels, gives each square's label by its cells; it is the
+    one per-square label table, which trigg_members, trigg_populations and
+    pipeline.classify_catalog all read.
     """
 
-    def __init__(
-        self,
-        classes: tuple[SignatureClass, ...],
-        labels: dict[PairingSignature, ClassLabel],
-        catalog: EncodingOrder,
-    ) -> None:
-        self.classes = classes
-        self.labels = labels
-        self.catalog = catalog
+    classes: tuple[SignatureClass, ...]
+    labels: dict[PairingSignature, ClassLabel]
+    catalog: EncodingOrder
+    label_by_cells: dict[tuple[int, ...], ClassLabel] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        label_by_cells = {
+            sq.cells: self.labels[cls.signature] for cls in self.classes for sq in cls.members
+        }
+        object.__setattr__(self, "label_by_cells", label_by_cells)
 
     @classmethod
     def from_catalog(cls, catalog: Iterable[Square]) -> "DudeneyCensus":
@@ -190,18 +192,8 @@ class DudeneyCensus:
 
     def trigg_members(self, letter: str) -> EncodingOrder:
         """The Trigg class's squares, in ascending encoding order."""
-        cells = {
-            sq.cells
-            for cls in self.classes
-            if self.labels[cls.signature].trigg == letter
-            for sq in cls.members
-        }
-        return EncodingOrder(sq for sq in self.catalog if sq.cells in cells)
+        label = self.label_by_cells
+        return EncodingOrder(sq for sq in self.catalog if label[sq.cells].trigg == letter)
 
     def trigg_populations(self) -> dict[str, int]:
-        pops: dict[str, int] = {}
-        for cls in self.classes:
-            letter = self.labels[cls.signature].trigg
-            pops[letter] = pops.get(letter, 0) + cls.population
-        return pops
-
+        return dict(Counter(label.trigg for label in self.label_by_cells.values()))

@@ -41,14 +41,15 @@ from .pipeline import (
 )
 
 
-def _parse_cell(token: str, n: int) -> int:
-    if token.isalpha() and len(token) == 1:
-        idx = ord(token.lower()) - ord("a")
-    else:
-        idx = int(token)
-    if not 0 <= idx < n * n:
-        raise ValueError(f"cell {token!r} out of range for order {n}")
-    return idx
+def _cell(text: str) -> int:
+    """One enumerate --shard-cell: a cell letter or a reading-order index."""
+    if text.isalpha() and len(text) == 1:
+        return ord(text.lower()) - ord("a")
+    try:
+        return int(text)
+    except ValueError:
+        message = f"expected one cell letter or an integer index, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _output(args):
@@ -61,7 +62,10 @@ def _shard_from_args(args, n: int) -> tuple[int, ...]:
     values = args.shard_value or []
     if len(cells) != len(values):
         raise ValueError("--shard-cell and --shard-value must be paired")
-    shard = shard_for(n, [_parse_cell(c, n) for c in cells], values)
+    for idx in cells:
+        if not 0 <= idx < n * n:
+            raise ValueError(f"cell index {idx} out of range for order {n}")
+    shard = shard_for(n, cells, values)
     checked_plan(n, [shard])
     return shard
 
@@ -195,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream all squares of an order")
     p.add_argument("--order", type=int, required=True, choices=(3, 4, 5))
-    p.add_argument("--shard-cell", action="append", metavar="CELL")
+    p.add_argument("--shard-cell", action="append", type=_cell, metavar="CELL")
     p.add_argument("--shard-value", action="append", type=int, metavar="V")
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--long-run", action="store_true")

@@ -67,14 +67,9 @@ def classify_catalog(
     record also carries its orbit id and generator flag; without, both
     stay None.
     """
-    label_by_cells = {
-        sq.cells: dudeney.labels[cls.signature]
-        for cls in dudeney.classes
-        for sq in cls.members
-    }
     labels = []
     for sq in squares:
-        label = label_by_cells.get(sq.cells)
+        label = dudeney.label_by_cells.get(sq.cells)
         if label is None:
             raise ValueError(f"square {encode_square(sq)} is not in the census")
         labels.append(label)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from math import isqrt
 from operator import add, itemgetter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 
 def magic_constant(n: int) -> int:
@@ -168,9 +168,8 @@ def is_normal_magic(square: Square) -> bool:
 
 
 def _is_magic_grid(cells, n: int) -> bool:
-    # Called by is_normal_magic, by verify_catalog for the squares of a
-    # failing batch and by the tests' brute-force oracles; assumes cells
-    # is a permutation.
+    # Called by is_normal_magic and by the tests' brute-force oracles;
+    # assumes cells is a permutation.
     mu = magic_constant(n)
     for line in _tables(n).magic_getters:
         if sum(line(cells)) != mu:
@@ -178,18 +177,19 @@ def _is_magic_grid(cells, n: int) -> bool:
     return True
 
 
-def _all_magic(grids: list[tuple[int, ...]], n: int) -> bool:
-    """_is_magic_grid of every grid at once, one line at a time.
+def _line_sums(grids: Sequence[tuple[int, ...]], getters) -> Iterable[tuple[int, ...]]:
+    """Each grid's sum over each line that `getters` picks; [] for no grids.
 
-    Each line is summed column-wise: the grids' cells at the line's first
-    index plus those at its second, and so on, all as C-level maps.
+    Each line is summed for every grid at once, column-wise: the grids'
+    cells at the line's first index plus those at its second, and so on,
+    all as C-level maps.  The sums are yielded one grid at a time, so no
+    list of every grid's sums is held.
     """
+    if not grids:
+        return []
     columns = list(zip(*grids))
-    mu = {magic_constant(n)}
     add_columns = partial(map, add)
-    return all(
-        set(reduce(add_columns, line(columns))) == mu for line in _tables(n).magic_getters
-    )
+    return zip(*[reduce(add_columns, line(columns)) for line in getters])
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,18 @@ def test_verify_verdict_pinned(tmp_path, capsys):
     assert captured.err == "# count=2591\n"
 
 
+def test_verify_names_non_magic_squares_from_the_batch_sums(tmp_path, monkeypatch):
+    # The batch's line sums name its non-magic squares: no square is
+    # checked again on its own.
+    def refuse(cells, n):
+        raise AssertionError("verify_catalog re-checked a square alone")
+
+    monkeypatch.setattr("magicgen.squares._is_magic_grid", refuse)
+    monkeypatch.setattr("magicgen.catalog._is_magic_grid", refuse, raising=False)
+    path = _faulty_catalog(tmp_path / "faulty.txt")
+    assert verify_catalog(path) == CatalogVerdict(False, 2591, PINNED_PROBLEMS)
+
+
 def test_verify_verdict_pinned_across_orders(tmp_path):
     # No header order: each line's order comes from its token count, so
     # the order changes between parsed squares, and each change starts a

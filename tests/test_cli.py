@@ -105,6 +105,17 @@ def test_enumerate_rejects_bad_shard_cell(capsys):
     assert "leading trial cells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["aa", "", "1x"])
+def test_enumerate_rejects_malformed_shard_cell(cell, capsys):
+    # A usage error naming the option, as `pipeline --shard-value x` is.
+    argv = ["enumerate", "--order", "4", "--shard-cell", cell, "--shard-value", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    expected = f"argument --shard-cell: expected one cell letter or an integer index, got {cell!r}"
+    assert capsys.readouterr().err.endswith(f"{expected}\n")
+
+
 def test_enumerate_checks_the_shard_before_writing(capsys):
     argv = ["enumerate", "--order", "4", "--shard-cell", "a", "--shard-value", "99"]
     assert main(argv) == 1

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -22,8 +26,8 @@ from conftest import (
 from magicgen.squares import (
     Square,
     Transformation,
-    _all_magic,
     _is_magic_grid,
+    _line_sums,
     _tables,
     encode_square,
     grid_symmetries,
@@ -145,6 +149,17 @@ class TestSquareValidation:
         assert Square(4, durer.cells).cells == durer.cells
 
 
+def test_import_builds_no_per_order_table():
+    # Per-order tables are built on first use: importing the package, as
+    # every order-3, order-5 and shard-worker process does, builds none.
+    code = "import magicgen; print(magicgen.squares._tables.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "0\n"
+
+
 def _lines_by_formula(n: int):
     """Magic lines and broken diagonals as cell sets picked by coordinates.
 
@@ -217,9 +232,13 @@ class TestLineTable:
                 for r, c, d in ((r1, c1, 1), (r1, c2, -1), (r2, c1, -1), (r2, c2, 1)):
                     grid[r * n + c] += d
                 grids.append(tuple(grid))
-        for grid in grids:
-            assert _all_magic([uniform, grid, uniform], n) == _is_magic_grid(grid, n)
-        assert _all_magic([uniform] * 3, n)
+        getters = _tables(n).magic_getters
+        sums = _line_sums([uniform, *grids, uniform], getters)
+        magic = (magic_constant(n),) * len(getters)
+        assert [s == magic for s in sums] == [
+            _is_magic_grid(grid, n) for grid in [uniform, *grids, uniform]
+        ]
+        assert _line_sums([], getters) == []
 
     def test_encode_is_str_per_cell_and_round_trips(self, n):
         rng = random.Random(n)
