@@ -292,7 +292,7 @@ def group_text(name: str, group) -> str:
     lines = [
         FORMAT_LINE,
         f"# kind=group subject={name} order={group.order_n} "
-        f"size={len(group)} pair_view={len(group.pair_view())}",
+        f"size={len(group)} pair_view={group.pair_view_order}",
     ]
     for t in group.members:
         rows = ",".join(map(str, t.row_perm))

@@ -2,22 +2,20 @@
 
 The values 1..16 split into 8 complement pairs summing to 17.  Drawing a
 link between the two grid positions of each pair gives a diagram whose
-orientation-independent shape is the square's Dudeney type; exactly 12
-shapes occur across the 7040 squares.  The classifier canonicalizes that
-pair geometry (minimum encoding over the 8 grid symmetries), discovers
-the 12 classes from a full catalog through groups._grouped, the grouping
-pass behind every partition of squares, and names them:
+orientation-independent shape is the square's Dudeney type.  The
+classifier canonicalizes that pair geometry (minimum encoding over the 8
+grid symmetries), discovers the classes from a full catalog through
+groups._grouped, the grouping pass behind every partition of squares,
+and names them from DUDENEY_CLASSES, the one table of the census:
 
-* Trigg letters follow class population: the three 384-classes are A,
-  {768, 768, 2432} are B, the four 448-classes are C, the two 64-classes
-  are D.
-* Dudeney numerals I..XII order population groups as above; within a
-  same-population group, classes keep the grouping pass's order, that of
-  their smallest member's canonical text encoding.  Downstream results
-  do not depend on the within-group order.
-* Class VI (the 2432 class) splits VI''/VI' by whether some broken
-  diagonal sums to 34.  magic_broken_diagonal_counts counts those
-  diagonals in the sums squares._line_sums takes for a whole catalog.
+* Each row is a numeral, its population and its Trigg letter; the
+  catalog total, the class count and TRIGG_LETTERS follow from it.
+* In numeral order, each row names the next class of its population in
+  the grouping pass's order, that of their smallest member's canonical
+  text encoding.  Downstream results do not depend on that choice.
+* Class VI splits VI''/VI' by whether some broken diagonal sums to 34.
+  magic_broken_diagonal_counts counts those diagonals in the sums
+  squares._line_sums takes for a whole catalog.
 
 The census is the one classification path: DudeneyCensus files each
 square's label under its cells once, and pipeline.classify_catalog,
@@ -38,17 +36,15 @@ from .squares import Square, _line_sums, _tables, encode_square, is_normal_magic
 
 PairingSignature = tuple[tuple[int, int], ...]
 
-ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI", "XII")
-
-TRIGG_OF_DUDENEY: dict[str, str] = (
-    {r: "A" for r in ROMAN[:3]}
-    | {r: "B" for r in ROMAN[3:6]}
-    | {r: "C" for r in ROMAN[6:10]}
-    | {r: "D" for r in ROMAN[10:]}
+# Dudeney's (1917) census: numeral, population, Trigg letter, in numeral
+# order.  Trigg's letters group the classes by population.
+DUDENEY_CLASSES = (
+    ("I", 384, "A"), ("II", 384, "A"), ("III", 384, "A"),
+    ("IV", 768, "B"), ("V", 768, "B"), ("VI", 2432, "B"),
+    ("VII", 448, "C"), ("VIII", 448, "C"), ("IX", 448, "C"), ("X", 448, "C"),
+    ("XI", 64, "D"), ("XII", 64, "D"),
 )
-
-# Class populations as first counted by Dudeney (1917).
-DUDENEY_POPULATIONS = (384, 384, 384, 768, 768, 2432, 448, 448, 448, 448, 64, 64)
+TRIGG_LETTERS = tuple(dict.fromkeys(letter for _, _, letter in DUDENEY_CLASSES))
 
 VI_SPLIT_PLAIN = "VI'"
 VI_SPLIT_BROKEN = "VI''"
@@ -126,32 +122,34 @@ def discover_classes(catalog: Iterable[Square]) -> tuple[SignatureClass, ...]:
 
     buckets = _grouped(catalog, label, "catalog")
     total = sum(map(len, buckets.values()))
-    if total != 7040:
-        raise ValueError(f"incomplete catalog: {total} squares, expected 7040")
-    if len(buckets) != 12:
-        raise ValueError(f"expected 12 signature classes, found {len(buckets)}")
+    expected = sum(population for _, population, _ in DUDENEY_CLASSES)
+    if total != expected:
+        raise ValueError(f"incomplete catalog: {total} squares, expected {expected}")
+    if len(buckets) != len(DUDENEY_CLASSES):
+        raise ValueError(
+            f"expected {len(DUDENEY_CLASSES)} signature classes, found {len(buckets)}"
+        )
     return tuple(SignatureClass(sig, tuple(members)) for sig, members in buckets.items())
 
 
 def assign_labels(
     classes: Sequence[SignatureClass],
 ) -> dict[PairingSignature, ClassLabel]:
-    """Name the 12 discovered classes: population groups, then input order
+    """Name the discovered classes: each DUDENEY_CLASSES row, in numeral
+    order, takes the next class of its population in input order
     (discover_classes' smallest-member order, as the numerals require)."""
     observed = sorted(c.population for c in classes)
-    if observed != sorted(DUDENEY_POPULATIONS):
+    if observed != sorted(population for _, population, _ in DUDENEY_CLASSES):
         raise ValueError(
             f"population multiset {observed} does not match the Dudeney census"
         )
     by_pop: dict[int, list[SignatureClass]] = {}
     for cls in classes:
         by_pop.setdefault(cls.population, []).append(cls)
-
-    ordered = by_pop[384] + by_pop[768] + by_pop[2432] + by_pop[448] + by_pop[64]
-    labels: dict[PairingSignature, ClassLabel] = {}
-    for numeral, cls in zip(ROMAN, ordered):
-        labels[cls.signature] = ClassLabel(numeral, TRIGG_OF_DUDENEY[numeral])
-    return labels
+    return {
+        by_pop[population].pop(0).signature: ClassLabel(numeral, letter)
+        for numeral, population, letter in DUDENEY_CLASSES
+    }
 
 
 def with_vi_split(label: ClassLabel, broken_diagonals: int) -> ClassLabel:

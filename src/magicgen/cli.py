@@ -25,7 +25,7 @@ from .catalog import (
     write_atomic,
     write_catalog,
 )
-from .classifier import DudeneyCensus
+from .classifier import TRIGG_LETTERS, DudeneyCensus
 from .constraints import build_system, cell_name
 from .enumerator import checked_plan, iter_squares, shard_for, trial_cells
 from .generators import census as generator_census
@@ -50,6 +50,13 @@ def _cell(text: str) -> int:
     except ValueError:
         message = f"expected one cell letter or an integer index, got {text!r}"
         raise argparse.ArgumentTypeError(message) from None
+
+
+def _order(text: str) -> int:
+    """One verify or analyze --order: an integer of at least 3."""
+    if not text.isdecimal() or int(text) < 3:
+        raise argparse.ArgumentTypeError(f"expected an order of 3 or more, got {text!r}")
+    return int(text)
 
 
 def _output(args):
@@ -92,7 +99,7 @@ def _cmd_classify(args) -> int:
     records = classify_catalog(squares, dudeney)
     with _output(args) as fh:
         fh.write(classification_text(records, args.format))
-    print(f"# count={len(records)} classes=12", file=sys.stderr)
+    print(f"# count={len(records)} classes={len(dudeney.classes)}", file=sys.stderr)
     return 0
 
 
@@ -104,7 +111,7 @@ def _cmd_group(args) -> int:
     group = symmetry_group(members)
     with _output(args) as fh:
         fh.write(group_text(f"trigg_{args.trigg}", group))
-    print(f"# size={len(group)} pair_view={len(group.pair_view())}", file=sys.stderr)
+    print(f"# size={len(group)} pair_view={group.pair_view_order}", file=sys.stderr)
     return 0
 
 
@@ -213,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group", help="symmetry group of one Trigg class")
     p.add_argument("--in", dest="infile", required=True, metavar="CLASSFILE")
-    p.add_argument("--trigg", required=True, choices=tuple("ABCD"))
+    p.add_argument("--trigg", required=True, choices=TRIGG_LETTERS)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_group)
 
@@ -230,12 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-check a catalog file")
     p.add_argument("--in", dest="infile", required=True, metavar="CATALOG")
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=_order)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("analyze", help="inspect the constraint system")
     p.add_argument("what", choices=("basis",))
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("pipeline", help="run every stage into a directory")

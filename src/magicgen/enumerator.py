@@ -309,7 +309,7 @@ def _iter_generic(
     The candidate mask is scanned lowest bit first, so the emission order
     is the plain lexicographic order of trial assignments.
 
-    Trial cell k takes the value prefix[k], or any value where that is 0.
+    Trial cell k of the first len(prefix) takes the value prefix[k].
     Every cell has a floor its value must exceed, 0 unless `floors` names
     it: entering level k + 1 sets the floors of the cells in floors[k] to
     the value of trial cell k, so with the floors of _orbit_floors only
@@ -335,7 +335,7 @@ def _iter_generic(
         used0 |= 1 << v
         rused0 |= 1 << mirror - v
 
-    pins = [1 << v if v else -1 for v in prefix]
+    pins = [1 << v for v in prefix]
     floor = [0] * n2
     floors_from: list[Sequence[int]] = [()] * (last + 2)
     floors_from[1 : len(floors) + 1] = floors
@@ -453,16 +453,17 @@ def _order4_representatives() -> list[tuple[int, ...]]:
     so value 1 sits at a in one coset of a's stabiliser and at b in one of
     b's.  The search with a pinned to 1 keeps b below the other cells of
     its orbit under a's stabiliser (c, e, i); the one with b pinned to 1,
-    a below those of its orbit under b's stabiliser (d, f, j).  Each is
-    a search of a's or b's subtree, so the two lists come in trial order,
-    a = 1 first.
+    a below those of its orbit under b's stabiliser (d, f, j).  The first
+    is a's subtree 1, the second the subtrees (v, 1) in ascending v, so
+    the lists come in trial order, a = 1 first.
     """
     trials = trial_cells(4)
     on_a, on_b = _orbit_floors(4, 0), _orbit_floors(4, 1)
     if {trials[0], trials[1], *on_a[0], *on_b[1]} != set(range(16)):
         # Unreachable while a and b lie in different orbits of 8 cells.
         raise ValueError("order 4 has a cell that is not in the orbit of a or b")
-    return [*_iter_generic(4, (1,), on_a), *_iter_generic(4, (0, 1), on_b)]
+    searches = [((1,), on_a)] + [((v, 1), on_b) for v in range(2, 17)]
+    return [cells for prefix, floors in searches for cells in _iter_generic(4, prefix, floors)]
 
 
 @lru_cache(maxsize=None)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Hashable, Iterable, Sequence
 
-from .classifier import DudeneyCensus
+from .classifier import TRIGG_LETTERS, DudeneyCensus
 from .groups import (
     Orbit,
     TransformationGroup,
@@ -162,14 +162,6 @@ class ClassCensus:
     group_partition: OrbitPartition
     closure_partition: OrbitPartition
 
-    @property
-    def group_order(self) -> int:
-        return len(self.group)
-
-    @property
-    def pair_view_order(self) -> int:
-        return len(self.group.pair_view())
-
     def subgroup_split(self) -> tuple[tuple[str, int, int], ...]:
         """Named subsets per closure orbit size, e.g. B-1..B-4 (size desc)."""
         hist = self.closure_partition.size_histogram
@@ -227,7 +219,7 @@ def census(dudeney: DudeneyCensus) -> GeneratorCensus:
     """Per-Trigg-class groups and decompositions for the full order-4 census."""
     classes = [
         class_census(letter, dudeney.trigg_members(letter), f"trigg_{letter}")
-        for letter in "ABCD"
+        for letter in TRIGG_LETTERS
     ]
     # The catalog behind a DudeneyCensus is complete, so every magic image
     # of a member lies in some Trigg class; it lies in another class iff

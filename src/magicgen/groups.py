@@ -27,6 +27,12 @@ squares again.  A label is computed once per set of squares it is known
 to name, such as a square's dihedral or group orbit.
 It sorts its input by encode_square unless the input is an EncodingOrder,
 squares already in that order, so a census sorts its squares once.
+
+A group's pair view counts the (p, q) with both (p, q, F) and (p, q, T)
+in it.  (p, q, T) is (p, q, F) after the pure transpose
+tau = (id, id, T), so with tau in the group each untransposed member has
+its twin and the count is |G|/2; without tau it is 0, or
+(p, q, F)^-1 after (p, q, T) would be tau.
 """
 
 from __future__ import annotations
@@ -53,20 +59,13 @@ class TransformationGroup:
     def __len__(self) -> int:
         return len(self.members)
 
-    def pair_view(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        """Permutation pairs whose transposed and untransposed triples both belong.
-
-        This is the stricter pair-based reading of the group definition
-        (both images must stay in the set for the pair to qualify); it is
-        reported alongside the triple count for reconciliation.
-        """
-        have = set(self.members)
-        pairs = []
-        for t in self.members:
-            if not t.transposed:
-                if Transformation(t.row_perm, t.col_perm, True) in have:
-                    pairs.append((t.row_perm, t.col_perm))
-        return tuple(sorted(pairs))
+    @property
+    def pair_view_order(self) -> int:
+        """The pair view's size, |G|/2 or 0 as the pure transpose is a member
+        or not (module docstring): the stricter pair-based reading of the
+        group definition, reported beside the triple count."""
+        ident = tuple(range(self.order_n))
+        return len(self) // 2 if Transformation(ident, ident, True) in self.members else 0
 
 
 def _subject_index(squares: Iterable[Square]) -> tuple[int, frozenset[tuple[int, ...]]]:

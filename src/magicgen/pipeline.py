@@ -114,8 +114,8 @@ def generators_text(gens: GeneratorCensus) -> str:
     for cls in gens.classes:
         lines.append(f"[class {cls.letter}]")
         lines.append(f"population={cls.population}")
-        lines.append(f"group_order={cls.group_order}")
-        lines.append(f"pair_view_order={cls.pair_view_order}")
+        lines.append(f"group_order={len(cls.group)}")
+        lines.append(f"pair_view_order={cls.group.pair_view_order}")
         lines.append(
             f"group_orbits={len(cls.group_partition.orbits)} "
             f"histogram={_histogram_str(cls.group_partition.size_histogram)}"
@@ -154,8 +154,8 @@ def report_data(
         data["classes"] = {
             cls.letter: {
                 "population": cls.population,
-                "group_order": cls.group_order,
-                "pair_view_order": cls.pair_view_order,
+                "group_order": len(cls.group),
+                "pair_view_order": cls.group.pair_view_order,
                 "group_orbit_histogram": cls.group_partition.size_histogram,
                 "closure_orbit_histogram": cls.closure_partition.size_histogram,
                 "subgroup_split": [
@@ -294,7 +294,7 @@ def _run_small(order: int, out: Path, log) -> PipelineSummary:
 
     dudeney = DudeneyCensus.from_catalog(squares) if order == 4 else None
     if dudeney is not None:
-        log("# stage=classify classes=12")
+        log(f"# stage=classify classes={len(dudeney.classes)}")
         gens = generator_census(dudeney)
         records = classify_catalog(squares, dudeney, attach_orbits(gens))
         write_atomic(out / "classes.tsv", classification_text(records))

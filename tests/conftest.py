@@ -12,7 +12,7 @@ from magicgen.classifier import ClassLabel, DudeneyCensus, signature, with_vi_sp
 from magicgen.constraints import ConstraintSystem, build_system
 from magicgen.enumerator import iter_squares
 from magicgen.generators import census as generator_census
-from magicgen.groups import canonical_key
+from magicgen.groups import TransformationGroup, canonical_key
 from magicgen.squares import (
     Square,
     Transformation,
@@ -123,6 +123,20 @@ def inverse(t: Transformation) -> Transformation:
     if t.transposed:
         return Transformation(_invert(t.col_perm), _invert(t.row_perm), True)
     return Transformation(_invert(t.row_perm), _invert(t.col_perm), False)
+
+
+def pair_view(group: TransformationGroup) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Permutation pairs whose transposed and untransposed triples both belong.
+
+    The listing that group.pair_view_order counts, built member by member.
+    """
+    have = set(group.members)
+    pairs = []
+    for t in group.members:
+        if not t.transposed:
+            if Transformation(t.row_perm, t.col_perm, True) in have:
+                pairs.append((t.row_perm, t.col_perm))
+    return tuple(sorted(pairs))
 
 
 def broken_diagonal_sums(square: Square) -> tuple[int, ...]:

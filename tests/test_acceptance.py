@@ -46,7 +46,7 @@ from conftest import (
 )
 
 from magicgen.catalog import catalog_text
-from magicgen.classifier import DUDENEY_POPULATIONS, signature
+from magicgen.classifier import DUDENEY_CLASSES, signature
 from magicgen.constraints import build_system
 from magicgen.enumerator import (
     count_squares,
@@ -169,7 +169,12 @@ def test_criterion_04_durer_round_trip():
 
 def test_criterion_05_dudeney_census(census4):
     pops = sorted(c.population for c in census4.classes)
-    assert pops == sorted(DUDENEY_POPULATIONS)
+    assert pops == sorted(population for _, population, _ in DUDENEY_CLASSES)
+    rows = []
+    for cls in census4.classes:
+        label = census4.labels[cls.signature]
+        rows.append((label.dudeney, cls.population, label.trigg))
+    assert sorted(rows) == sorted(DUDENEY_CLASSES)
     assert len(census4.classes) == 12
     assert census4.trigg_populations() == TRIGG_POPULATIONS
     print("[criterion 05] 12 classes, populations and Trigg totals as published")

@@ -21,9 +21,8 @@ from conftest import (
 
 from magicgen import classifier, groups, pipeline
 from magicgen.classifier import (
-    DUDENEY_POPULATIONS,
-    ROMAN,
-    TRIGG_OF_DUDENEY,
+    DUDENEY_CLASSES,
+    TRIGG_LETTERS,
     VI_SPLIT_BROKEN,
     VI_SPLIT_PLAIN,
     DudeneyCensus,
@@ -65,19 +64,33 @@ def test_exactly_twelve_classes(census4):
     assert len(census4.classes) == 12
 
 
+def test_dudeney_table_rows():
+    # Dudeney's (1917) numerals and populations, Trigg's letters.
+    assert DUDENEY_CLASSES == (
+        ("I", 384, "A"), ("II", 384, "A"), ("III", 384, "A"),
+        ("IV", 768, "B"), ("V", 768, "B"), ("VI", 2432, "B"),
+        ("VII", 448, "C"), ("VIII", 448, "C"), ("IX", 448, "C"), ("X", 448, "C"),
+        ("XI", 64, "D"), ("XII", 64, "D"),
+    )
+    assert TRIGG_LETTERS == ("A", "B", "C", "D")
+
+
 def test_population_multiset(census4):
     assert sorted(c.population for c in census4.classes) == sorted(
-        DUDENEY_POPULATIONS
+        population for _, population, _ in DUDENEY_CLASSES
     )
     assert sum(c.population for c in census4.classes) == 7040
 
 
-def test_trigg_letter_is_function_of_numeral():
-    assert TRIGG_OF_DUDENEY == {
+def test_trigg_letter_is_function_of_numeral(census4):
+    assert {numeral: letter for numeral, _, letter in DUDENEY_CLASSES} == {
         "I": "A", "II": "A", "III": "A",
         "IV": "B", "V": "B", "VI": "B",
         "VII": "C", "VIII": "C", "IX": "C", "X": "C",
         "XI": "D", "XII": "D",
+    }
+    assert {(label.dudeney, label.trigg) for label in census4.labels.values()} == {
+        (numeral, letter) for numeral, _, letter in DUDENEY_CLASSES
     }
 
 
@@ -87,8 +100,8 @@ def test_trigg_totals(census4):
 
 def test_population_by_numeral(by_numeral):
     assert {
-        numeral: by_numeral[numeral].population for numeral in ROMAN
-    } == dict(zip(ROMAN, DUDENEY_POPULATIONS))
+        numeral: by_numeral[numeral].population for numeral, _, _ in DUDENEY_CLASSES
+    } == {numeral: population for numeral, population, _ in DUDENEY_CLASSES}
 
 
 def test_labels_deterministic(catalog4, census4):

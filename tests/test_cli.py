@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import inspect
 import json
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from magicgen import generators
-from magicgen.cli import main
+from magicgen.classifier import TRIGG_LETTERS
+from magicgen.cli import build_parser, main
 from magicgen.catalog import catalog_text, read_catalog, read_classification
 from magicgen.enumerator import count_squares, iter_squares, single_cell_shards
 from magicgen.pipeline import emit_report, report_data, run_pipeline
@@ -114,6 +116,29 @@ def test_enumerate_rejects_malformed_shard_cell(cell, capsys):
     assert exc.value.code == 2
     expected = f"argument --shard-cell: expected one cell letter or an integer index, got {cell!r}"
     assert capsys.readouterr().err.endswith(f"{expected}\n")
+
+
+@pytest.mark.parametrize("order", ["0", "2", "-1"])
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_order_below_3_is_a_usage_error(command, order, tmp_path, capsys):
+    # Refused before any catalog is read: an order-3 catalog without an
+    # order line, checked at order 2, would otherwise fail line by line.
+    catalog = tmp_path / "cat.txt"
+    catalog.write_text("# format=1\n" + "".join(encode_square(sq) + "\n" for sq in iter_squares(3)))
+    argv = ["verify", "--in", str(catalog)] if command == "verify" else ["analyze", "basis"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--order", order])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = f"argument --order: expected an order of 3 or more, got {order!r}"
+    assert captured.err.endswith(f"{expected}\n")
+
+
+def test_group_trigg_choices_are_the_trigg_letters():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    trigg = next(a for a in sub.choices["group"]._actions if a.dest == "trigg")
+    assert trigg.choices == TRIGG_LETTERS
 
 
 def test_enumerate_checks_the_shard_before_writing(capsys):

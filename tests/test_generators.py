@@ -7,7 +7,7 @@ import pytest
 from conftest import apply, universe, verify_partition
 
 from magicgen import classifier, generators, groups, pipeline
-from magicgen.classifier import ClassLabel, DudeneyCensus
+from magicgen.classifier import TRIGG_LETTERS, ClassLabel, DudeneyCensus
 from magicgen.enumerator import iter_squares
 from magicgen.generators import (
     REFERENCE_HISTOGRAMS,
@@ -63,6 +63,9 @@ def test_orbits_come_in_generator_order(all3, gencensus4):
 
 
 class TestCensus:
+    def test_classes_follow_the_trigg_letters(self, gencensus4):
+        assert tuple(cls.letter for cls in gencensus4.classes) == TRIGG_LETTERS
+
     def test_total_generators(self, gencensus4):
         # The published total is the sum of the A-D reference histograms:
         # 3 + 46 + 44 + 2 generators.

@@ -5,7 +5,15 @@ import re
 from itertools import islice
 
 import pytest
-from conftest import after, apply, from_rows, identity_transformation, inverse, universe
+from conftest import (
+    after,
+    apply,
+    from_rows,
+    identity_transformation,
+    inverse,
+    pair_view,
+    universe,
+)
 
 from magicgen import groups
 from magicgen.enumerator import iter_squares
@@ -213,17 +221,27 @@ class TestSymmetryGroup:
     def test_trigg_class_group_orders(self, gencensus4):
         # The triples preserving each whole Trigg class; the published
         # per-generator "group orders" are closure-orbit sizes, not these.
-        orders = {c.letter: c.group_order for c in gencensus4.classes}
+        orders = {c.letter: len(c.group) for c in gencensus4.classes}
         assert orders == {"A": 192, "B": 32, "C": 32, "D": 32}
-        pair_views = {c.letter: c.pair_view_order for c in gencensus4.classes}
+        pair_views = {c.letter: c.group.pair_view_order for c in gencensus4.classes}
         assert pair_views == {"A": 96, "B": 16, "C": 16, "D": 16}
 
     def test_pair_view_members_qualify_both_ways(self, by_letter):
         cls = by_letter["A"]
         members = set(cls.group.members)
-        for rp, cp in cls.group.pair_view():
+        for rp, cp in pair_view(cls.group):
             assert Transformation(rp, cp, False) in members
             assert Transformation(rp, cp, True) in members
+
+    def test_pair_view_order_counts_the_listed_pairs(self, by_letter, group3, durer):
+        # A square and its half-turn: the group is {identity, half-turn},
+        # which holds no transpose, so no pair qualifies although |G| = 2.
+        half_turn = Transformation((3, 2, 1, 0), (3, 2, 1, 0), False)
+        two = symmetry_group([durer, apply(half_turn, durer)])
+        assert set(two.members) == {identity_transformation(4), half_turn}
+        subjects = [cls.group for cls in by_letter.values()] + [group3, two]
+        assert [g.pair_view_order for g in subjects] == [len(pair_view(g)) for g in subjects]
+        assert [g.pair_view_order for g in subjects] == [96, 16, 16, 16, 4, 0]
 
 
 def _seeded_subject(rng, catalog4, triples) -> list[Square]:
