@@ -49,6 +49,10 @@ it whose leading trial values equal the shard's prefix.  A shard's
 subtree holds exactly those squares, and the catalog is sorted by trial
 values, so they form a contiguous slice found by binary search: each
 shard emits what a search of its subtree would, in the same order.
+Slicing costs far less than pickling the slice back from a worker, so
+enumerate_shards_parallel serves order-4 shards in the calling process
+and sends only order-3 and order-5 shards, which are searches, to worker
+processes.
 """
 
 from __future__ import annotations
@@ -249,6 +253,9 @@ def _checked_prefix(n: int, prefix: Sequence[int]) -> tuple[int, ...]:
     n2 = n * n
     if len(prefix) > len(trial_cells(n)):
         raise ValueError(f"shard prefix longer than the {len(trial_cells(n))}-cell basis")
+    for v in prefix:
+        if type(v) is not int:
+            raise ValueError(f"shard prefix value {v!r} is not an int")
     if len(set(prefix)) != len(prefix):
         raise ValueError(f"shard prefix {prefix} repeats a value")
     for v in prefix:
@@ -546,22 +553,30 @@ def enumerate_shards_parallel(
     max_workers: int | None = None,
     limit_per_shard: int | None = None,
 ) -> Iterator[Square]:
-    """Run shards on worker processes, yielding in shard order.
+    """Run shards, searches on worker processes, yielding in shard order.
 
     The plan must pass checked_plan (one prefix depth, no prefix
-    repeated) before any worker starts, so no square is yielded twice.
-    Each shard runs on one worker: a search of its subtree, or at order 4
-    a slice of the worker's catalog (inherited when the parent built it
-    before forking).  Results are buffered per shard and concatenated in
-    the order the shards were given, so the stream is byte-identical to
-    running the same shards serially.  With `limit_per_shard`, each shard
-    yields at most that many squares; a negative limit is an error.
+    repeated) before any square is yielded, so no square is yielded
+    twice.  At orders 3 and 5 each shard, a search of its subtree, runs
+    on one worker, and results are buffered per shard.  An order-4 shard
+    is a slice of the process's one catalog, so order 4 starts no worker:
+    the calling process builds the catalog once and yields each slice.
+    Shards are concatenated in the order they were given, so the stream
+    is byte-identical to running the same shards serially.  With
+    `limit_per_shard`, each shard yields at most that many squares; a
+    negative limit, or `max_workers` below 1, is an error at every order.
     """
     from concurrent.futures import ProcessPoolExecutor
 
     checked_plan(n, shards)
     if limit_per_shard is not None and limit_per_shard < 0:
         raise ValueError(f"limit_per_shard must be >= 0, not {limit_per_shard}")
+    if max_workers is not None and max_workers < 1:
+        raise ValueError("max_workers must be greater than 0")
+    if n == 4:
+        for s in shards:
+            yield from islice(iter_squares(4, s), limit_per_shard)
+        return
     args = [(n, tuple(s), limit_per_shard) for s in shards]
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         for cells_list in pool.map(_shard_worker, args):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import random
 from itertools import islice, permutations
@@ -17,6 +18,7 @@ from magicgen.enumerator import (
     _order4_representatives,
     _orbit_floors,
     _plan,
+    checked_plan,
     count_squares,
     enumerate_shards_parallel,
     iter_squares,
@@ -285,6 +287,17 @@ class TestShards:
         with pytest.raises(ValueError, match="longer"):
             count_squares(3, (1, 2, 3))
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("value", [1.5, 2.0, "1", True, None])
+    def test_non_int_prefix_values_rejected(self, n, value):
+        # A float between 1 and n^2 passes the range check and would pin
+        # nothing, and a str or None fails it with a TypeError.
+        message = rf"shard prefix value {value!r} is not an int"
+        with pytest.raises(ValueError, match=message):
+            count_squares(n, (value,))
+        with pytest.raises(ValueError, match=message):
+            checked_plan(n, [(2,), (value,)])
+
     def test_shard_for_validates_cells(self):
         assert shard_for(4, [0, 1], [3, 9]) == (3, 9)
         with pytest.raises(ValueError, match="leading trial cells"):
@@ -324,6 +337,64 @@ class TestShards:
         assert [sq.cells for sq in two] == serial
         with pytest.raises(ValueError, match="limit_per_shard"):
             next(enumerate_shards_parallel(4, shards, max_workers=2, limit_per_shard=-1))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("max_workers", [0, -1])
+    def test_parallel_rejects_max_workers_below_one(self, n, max_workers):
+        squares = enumerate_shards_parallel(n, [(1,), (2,)], max_workers=max_workers)
+        with pytest.raises(ValueError, match="max_workers must be greater than 0"):
+            next(squares)
+
+    def test_order4_starts_no_pool(self, monkeypatch):
+        # Order-4 shards are slices of the calling process's catalog, and
+        # order-3 shards are searches on the pool.
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise RuntimeError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        shards = single_cell_shards(4)
+        parallel = [sq.cells for sq in enumerate_shards_parallel(4, shards, max_workers=2)]
+        assert parallel == [sq.cells for sq in iter_squares(4)]
+        with pytest.raises(RuntimeError, match="worker pool"):
+            next(enumerate_shards_parallel(3, single_cell_shards(3), max_workers=2))
+
+
+class TestPoolOrderThree:
+    """The pool path, on the order-3 shards: each is a search on a worker."""
+
+    def test_pool_merge_matches_serial(self):
+        shards = single_cell_shards(3)
+        serial = [sq.cells for s in shards for sq in iter_squares(3, s)]
+        assert len(serial) == 8
+        parallel = [
+            sq.cells for sq in enumerate_shards_parallel(3, shards, max_workers=2)
+        ]
+        assert parallel == serial
+
+    def test_pool_limit_per_shard(self):
+        shards = single_cell_shards(3)
+        zero = enumerate_shards_parallel(3, shards, max_workers=2, limit_per_shard=0)
+        assert list(zero) == []
+        one = enumerate_shards_parallel(3, shards, max_workers=2, limit_per_shard=1)
+        serial = [sq.cells for s in shards for sq in islice(iter_squares(3, s), 1)]
+        assert len(serial) == 4
+        assert [sq.cells for sq in one] == serial
+        with pytest.raises(ValueError, match="limit_per_shard"):
+            next(enumerate_shards_parallel(3, shards, max_workers=2, limit_per_shard=-1))
+
+    @pytest.mark.parametrize(
+        "prefixes, match",
+        [
+            ([(1,), (1,)], "repeats prefix"),
+            ([(1,), (1, 2)], "mixes prefix depths"),
+            ([(2, 3), (5,)], "mixes prefix depths"),
+        ],
+        ids=["repeated", "nested", "mixed-depth"],
+    )
+    def test_pool_rejects_overlapping_plan(self, prefixes, match):
+        with pytest.raises(ValueError, match=match):
+            next(enumerate_shards_parallel(3, prefixes, max_workers=2))
 
 
 class TestOrderFive:
