@@ -10,10 +10,12 @@ cells in *reverse* reading order, so the cells that stay free are the
 earliest ones in reading order; for order 4 this makes the basis the
 cells named a, b, c, e, f, g, i (indices 0, 1, 2, 4, 5, 6, 8).
 
-That solution is the only derivation of dependent cells: the search
-engine compiles each Dependency's integer_form into its plan, and a
-search pinned on every trial cell gives the one square of a basis, if
-any.
+That solution is the only derivation of dependent cells, and this module
+the only place that states which equations a square must satisfy: the
+search engine derives its whole plan from build_system(n) -- its lines
+and their targets from the equations, its trial order and each
+Dependency's integer_form from the solution -- and a search pinned on
+every trial cell gives the one square of a basis, if any.
 """
 
 from __future__ import annotations

@@ -5,11 +5,14 @@ other cell is forced through its affine dependency the moment all of its
 supporting free cells are assigned, and a forced value that is out of
 range, fractional, or already used prunes the branch immediately.
 
-Trial cells are assigned in a fixed order chosen greedily: at each step
-take the free cell that completes the most dependencies (ties broken by
-reading order), so dependent-cell validation happens as early as
-possible.  For order 4 this yields a, b, c, e, i, f, g -- cell c forces
-d, cell i forces m and p, cell f forces k, and cell g forces the rest.
+The search plan is derived once per order from build_system(n) alone:
+each line is the support of one of the system's equations and starts
+needing that equation's right-hand side.  One greedy pass fixes the
+trial order: at each step take the free cell that completes the most
+dependencies (ties broken by reading order), so dependent-cell
+validation happens as early as possible.  For order 4 this yields a, b,
+c, e, i, f, g -- cell c forces d, cell i forces m and p, cell f forces
+k, and cell g forces the rest.
 Trial values are always attempted in ascending order, which makes the
 emission order deterministic: two runs produce identical streams, and
 shard outputs concatenated in prefix order reproduce the full run
@@ -62,42 +65,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .constraints import build_system
-from .squares import Square, Transformation, _tables, magic_constant
+from .squares import Square, Transformation
 
 SUPPORTED_ORDERS = (3, 4, 5)
 
 
-@lru_cache(maxsize=None)
 def trial_cells(n: int) -> tuple[int, ...]:
     """Assignment order of the free cells (greedy earliest-forcing order)."""
-    system = build_system(n)
-    supports = {
-        dep.cell: frozenset(c for c, _ in dep.terms)
-        for dep in system.dependencies
-        if dep.terms
-    }
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-    fired: set[int] = set()
-    remaining = list(system.free_cells)
-    while remaining:
-        def readiness(x: int) -> int:
-            have = chosen_set | {x}
-            return sum(
-                1 for cell, sup in supports.items() if cell not in fired and sup <= have
-            )
-
-        best = max(remaining, key=lambda x: (readiness(x), -x))
-        chosen.append(best)
-        chosen_set.add(best)
-        remaining.remove(best)
-        for cell, sup in supports.items():
-            if cell not in fired and sup <= chosen_set:
-                fired.add(cell)
-    return tuple(chosen)
+    return _plan(n).trials
 
 
 @dataclass(frozen=True)
@@ -126,7 +104,8 @@ class _Plan:
     # of levels > L, so level L+1's bases are level L's plus carry[L] * v.
     bases0: tuple[int, ...]
     carry: tuple[tuple[int, ...], ...]
-    # Line needs (magic constant minus placed values) with the constants in.
+    # Line needs (the equation's right-hand side less the values placed on
+    # its line) with the constants in.
     need0: tuple[int, ...]
     # parity[p]: the values of 1..n^2 of parity p, bit x for value x.
     parity: tuple[int, int]
@@ -134,14 +113,13 @@ class _Plan:
 
 @lru_cache(maxsize=None)
 def _plan(n: int) -> _Plan:
+    """The search plan, derived once from build_system(n) alone."""
     system = build_system(n)
-    trials = trial_cells(n)
-    pos = {cell: i for i, cell in enumerate(trials)}
     n2 = n * n
-    # Line i is the support of build_system's equation i.
-    lines = _tables(n).magic_lines
+    # Line i is the support of equation i and starts needing its right side.
+    lines = [{c for c, a in enumerate(coeffs) if a} for coeffs, _ in system.equations]
     open_cells = [len(line) for line in lines]
-    need0 = [magic_constant(n)] * len(lines)
+    need0 = [rhs for _, rhs in system.equations]
 
     def close(cell: int) -> tuple[tuple[int, int, int, int], ...]:
         """Place `cell`: (line, low, high, r) for each of its lines."""
@@ -154,17 +132,14 @@ def _plan(n: int) -> _Plan:
         return tuple(bounds)
 
     constants: list[tuple[int, int]] = []
-    per_level: list[list] = [[] for _ in trials]
+    # (cell, den, const numerator, {free cell: numerator}, free cells unplaced)
+    pending = []
     for dep in system.dependencies:
         den, cnum, terms = dep.integer_form()
         if terms:
             if den not in (1, 2):
                 raise ValueError(f"order {n} has a dependent over {den}")  # unreachable
-            coeffs = [0] * len(trials)
-            for c, num in terms:
-                coeffs[pos[c]] = num
-            level = max(pos[c] for c, _ in terms)
-            per_level[level].append((dep.cell, den, cnum, coeffs))
+            pending.append((dep.cell, den, cnum, dict(terms), {c for c, _ in terms}))
             continue
         value = cnum // den
         if cnum % den or not 1 <= value <= n2 or value in dict(constants).values():
@@ -173,24 +148,39 @@ def _plan(n: int) -> _Plan:
         for line, *_ in close(dep.cell):
             need0[line] -= value
 
+    # Constants are placed first.  Then the next trial cell is the free cell
+    # that completes the most pending dependents (those lacking only it),
+    # the lower cell on a tie; it is placed, then the dependents it
+    # completes, in the system's order.
+    trials: list[int] = []
     tlines = []
     forced = []
-    for level, tcell in enumerate(trials):
+    per_level = []
+    free = list(system.free_cells)
+    while free:
+        lacking = [min(unplaced) for *_, unplaced in pending if len(unplaced) == 1]
+        tcell = max(free, key=lambda x: (lacking.count(x), -x))
+        free.remove(tcell)
+        for *_, unplaced in pending:
+            unplaced.discard(tcell)
+        deps = [dep for dep in pending if not dep[4]]
+        pending = [dep for dep in pending if dep[4]]
+        trials.append(tcell)
         tlines.append(tuple(line[:3] for line in close(tcell)))
-        deps = per_level[level]
-        forced.append(tuple((c, den, cf[level], close(c)) for c, den, _, cf in deps))
+        forced.append(tuple((c, den, terms[tcell], close(c)) for c, den, _, terms, _ in deps))
+        per_level.append(deps)
     deepest_first = [dep for deps in reversed(per_level) for dep in deps]
     later = len(deepest_first)
     carry = []
-    for level, deps in enumerate(per_level):
+    for tcell, deps in zip(trials, per_level):
         later -= len(deps)
-        carry.append(tuple(cf[level] for *_, cf in deepest_first[:later]))
+        carry.append(tuple(dep[3].get(tcell, 0) for dep in deepest_first[:later]))
     return _Plan(
-        trials,
+        tuple(trials),
         tuple(constants),
         tuple(tlines),
         tuple(forced),
-        tuple(cnum for _, _, cnum, _ in deepest_first),
+        tuple(dep[2] for dep in deepest_first),
         tuple(carry),
         tuple(need0),
         tuple(sum(1 << x for x in range(2 - p, n2 + 1, 2)) for p in (0, 1)),
@@ -264,25 +254,26 @@ def _checked_prefix(n: int, prefix: Sequence[int]) -> tuple[int, ...]:
     return prefix
 
 
-def checked_plan(n: int, shards: Sequence[Sequence[int]]) -> int:
-    """Prefix depth of a shard plan whose subtrees are pairwise disjoint.
+def checked_plan(n: int, shards: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """A shard plan as a tuple of prefixes whose subtrees are pairwise disjoint.
 
     A plan must be non-empty, every prefix valid and of one depth, and no
     prefix repeated: equal-depth distinct prefixes never nest, so no
-    square is counted twice.
+    square is counted twice.  `shards` is read once, so callers iterate
+    the returned tuple, never `shards` itself.
     """
-    if not shards:
+    plan = tuple(_checked_prefix(n, s) for s in shards)
+    if not plan:
         raise ValueError("shard plan is empty")
-    prefixes = [_checked_prefix(n, s) for s in shards]
-    depth = len(prefixes[0])
+    depth = len(plan[0])
     seen: set[tuple[int, ...]] = set()
-    for p in prefixes:
+    for p in plan:
         if len(p) != depth:
             raise ValueError(f"shard plan mixes prefix depths {depth} and {len(p)}")
         if p in seen:
             raise ValueError(f"shard plan repeats prefix {p}")
         seen.add(p)
-    return depth
+    return plan
 
 
 def _iter_generic(
@@ -549,7 +540,7 @@ def _shard_worker(args: tuple[int, tuple[int, ...], int | None]) -> list[tuple[i
 
 def enumerate_shards_parallel(
     n: int,
-    shards: Sequence[Sequence[int]],
+    shards: Iterable[Sequence[int]],
     max_workers: int | None = None,
     limit_per_shard: int | None = None,
 ) -> Iterator[Square]:
@@ -568,16 +559,16 @@ def enumerate_shards_parallel(
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    checked_plan(n, shards)
+    plan = checked_plan(n, shards)
     if limit_per_shard is not None and limit_per_shard < 0:
         raise ValueError(f"limit_per_shard must be >= 0, not {limit_per_shard}")
     if max_workers is not None and max_workers < 1:
         raise ValueError("max_workers must be greater than 0")
     if n == 4:
-        for s in shards:
+        for s in plan:
             yield from islice(iter_squares(4, s), limit_per_shard)
         return
-    args = [(n, tuple(s), limit_per_shard) for s in shards]
+    args = [(n, s, limit_per_shard) for s in plan]
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         for cells_list in pool.map(_shard_worker, args):
             for cells in cells_list:

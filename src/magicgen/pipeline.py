@@ -21,7 +21,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .catalog import (
     CatalogRecord,
@@ -257,7 +257,7 @@ def run_pipeline(
     order: int,
     out_dir: str | Path,
     long_run: bool = False,
-    shards: Sequence[Sequence[int]] | None = None,
+    shards: Iterable[Sequence[int]] | None = None,
     log=None,
 ) -> PipelineSummary:
     """Run every stage for the given order and persist all artifacts.
@@ -309,10 +309,7 @@ def _run_small(order: int, out: Path, log) -> PipelineSummary:
     write_atomic(out / "generators.txt", generators_text(gens))
     data = report_data(order, len(squares), dudeney, gens)
     write_atomic(out / REPORT_JSON, json.dumps(data, indent=2) + "\n")
-    write_atomic(
-        out / "discrepancies.json",
-        json.dumps([asdict(d) for d in gens.discrepancies], indent=2) + "\n",
-    )
+    write_atomic(out / "discrepancies.json", json.dumps(data["discrepancies"], indent=2) + "\n")
     write_atomic(out / SUMMARY_NAME, emit_report(data))
     log(f"# stage=report discrepancies={len(gens.discrepancies)}")
     return PipelineSummary(order, len(squares), gens.total_generators, out)
@@ -332,17 +329,15 @@ def _trusted_count(path: Path, head: str) -> int | None:
     return int(m.group(1)) if m else None
 
 
-def _run_order5(out: Path, shards: Sequence[Sequence[int]] | None, log) -> PipelineSummary:
-    if shards is None:
-        shards = single_cell_shards(5)
-    depth = checked_plan(5, shards)
-    cells = ",".join(cell_name(c, 5) for c in trial_cells(5)[:depth])
+def _run_order5(out: Path, shards: Iterable[Sequence[int]] | None, log) -> PipelineSummary:
+    plan = checked_plan(5, single_cell_shards(5) if shards is None else shards)
+    cells = ",".join(cell_name(c, 5) for c in trial_cells(5)[: len(plan[0])])
     manifest = ["# format=1", f"# kind=shard-plan order=5 cells={cells}"]
-    manifest.extend(f"shard {_shard_tag(s)}" for s in shards)
+    manifest.extend(f"shard {_shard_tag(s)}" for s in plan)
     write_atomic(out / "manifest.txt", "\n".join(manifest) + "\n")
 
     total = 0
-    for shard in shards:
+    for shard in plan:
         tag = _shard_tag(shard)
         path = out / "shards" / f"shard_{tag}.count"
         # A count holds only for the trial cells it was counted under.
@@ -356,7 +351,7 @@ def _run_order5(out: Path, shards: Sequence[Sequence[int]] | None, log) -> Pipel
             write_atomic(path, f"{head}{count}\n")
             log(f"# stage=shard {tag} status={status} count={count}")
         total += count
-    data = report_data(5, total, None, None, shards)
+    data = report_data(5, total, None, None, plan)
     write_atomic(out / REPORT_JSON, json.dumps(data, indent=2) + "\n")
     write_atomic(out / SUMMARY_NAME, emit_report(data))
     return PipelineSummary(5, total, None, out)

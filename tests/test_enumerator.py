@@ -33,7 +33,31 @@ def test_trial_order_matches_design():
     assert trial_cells(3) == (0, 1)
     # a, b, c (forces d), e, i (forces m and p), f (forces k), g (rest).
     assert trial_cells(4) == (0, 1, 2, 4, 8, 5, 6)
-    assert trial_cells(5)[:8] == (0, 1, 2, 3, 5, 6, 7, 8)
+    assert trial_cells(5) == (0, 1, 2, 3, 5, 6, 7, 8, 10, 15, 12, 11, 13, 17)
+
+
+@pytest.fixture
+def fresh_plan():
+    """_plan rebuilt from whatever build_system returns, and again after."""
+    _plan.cache_clear()
+    yield
+    _plan.cache_clear()
+
+
+@pytest.mark.parametrize("k", [-3, 1, 7])
+def test_plan_takes_line_targets_from_the_system(k, monkeypatch, fresh_plan):
+    # Each line starts needing its equation's right-hand side, so raising
+    # every target by k moves every line need by k and nothing else.
+    plan = _plan(4)
+    system = build_system(4)
+    raised = dataclasses.replace(
+        system, equations=tuple((coeffs, rhs + k) for coeffs, rhs in system.equations)
+    )
+    monkeypatch.setattr(enumerator, "build_system", lambda n: raised)
+    _plan.cache_clear()
+    moved = _plan(4)
+    assert moved.need0 == tuple(need + k for need in plan.need0)
+    assert dataclasses.replace(moved, need0=plan.need0) == plan
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -344,6 +368,21 @@ class TestShards:
         squares = enumerate_shards_parallel(n, [(1,), (2,)], max_workers=max_workers)
         with pytest.raises(ValueError, match="max_workers must be greater than 0"):
             next(squares)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_parallel_reads_a_generator_plan_once(self, n):
+        # The plan is checked and then run from the checked tuple, so a
+        # generator gives what the same plan as a list does.
+        shards = single_cell_shards(n)
+        listed = [sq.cells for sq in enumerate_shards_parallel(n, list(shards), max_workers=2)]
+        generated = enumerate_shards_parallel(n, (s for s in shards), max_workers=2)
+        assert [sq.cells for sq in generated] == listed
+        assert len(listed) == count_squares(n)
+
+    def test_checked_plan_returns_the_prefixes(self):
+        assert checked_plan(4, iter([[2, 3], (5, 1)])) == ((2, 3), (5, 1))
+        with pytest.raises(ValueError, match="empty"):
+            checked_plan(4, iter(()))
 
     def test_order4_starts_no_pool(self, monkeypatch):
         # Order-4 shards are slices of the calling process's catalog, and
