@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .catalog import (
+    FORMAT_LINE,
     atomic_file,
     classification_text,
     group_text,
@@ -157,7 +158,7 @@ def _cmd_verify(args) -> int:
 def _cmd_analyze(args) -> int:
     n = args.order
     system = build_system(n)
-    print("# format=1")
+    print(FORMAT_LINE)
     print(f"order={n}")
     print(f"equations={len(system.equations)}")
     print(f"rank={system.rank}")

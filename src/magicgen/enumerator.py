@@ -81,8 +81,6 @@ def trial_cells(n: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class _Plan:
     trials: tuple[int, ...]
-    # Cells whose dependency has no free-cell term: fixed for every square.
-    constants: tuple[tuple[int, int], ...]
     # The placement order fixes how many cells of a line are open at every
     # step, so each line a cell touches is stored as (line, low, high):
     # what the line still needs once the cell is placed must lie in
@@ -91,9 +89,11 @@ class _Plan:
     tlines: tuple[tuple[tuple[int, int, int], ...], ...]
     # forced[level]: dependents completed by trial `level`, as
     # (cell, den, m, ((line, low, high, r), ...)); the scaled value is
-    # base + m * trial_value, divided by den (1 or 2).  r is the number of
-    # the line's cells still open: with r == 1 the line needs a value not
-    # yet used, with r == 2 the sum of two distinct values not yet used.
+    # base + m * trial_value, divided by den (1 or 2), and m is 0 for a
+    # dependent with no free-cell term (order 3's centre, at level 0).  r
+    # is the number of the line's cells still open: with r == 1 the line
+    # needs a value not yet used, with r == 2 the sum of two distinct
+    # values not yet used.
     forced: tuple[
         tuple[tuple[int, int, int, tuple[tuple[int, int, int, int], ...]], ...], ...
     ]
@@ -104,8 +104,7 @@ class _Plan:
     # of levels > L, so level L+1's bases are level L's plus carry[L] * v.
     bases0: tuple[int, ...]
     carry: tuple[tuple[int, ...], ...]
-    # Line needs (the equation's right-hand side less the values placed on
-    # its line) with the constants in.
+    # Line needs before any cell is placed: the equations' right-hand sides.
     need0: tuple[int, ...]
     # parity[p]: the values of 1..n^2 of parity p, bit x for value x.
     parity: tuple[int, int]
@@ -119,7 +118,6 @@ def _plan(n: int) -> _Plan:
     # Line i is the support of equation i and starts needing its right side.
     lines = [{c for c, a in enumerate(coeffs) if a} for coeffs, _ in system.equations]
     open_cells = [len(line) for line in lines]
-    need0 = [rhs for _, rhs in system.equations]
 
     def close(cell: int) -> tuple[tuple[int, int, int, int], ...]:
         """Place `cell`: (line, low, high, r) for each of its lines."""
@@ -131,27 +129,18 @@ def _plan(n: int) -> _Plan:
                 bounds.append((line, r * (r + 1) // 2, r * (2 * n2 + 1 - r) // 2, r))
         return tuple(bounds)
 
-    constants: list[tuple[int, int]] = []
     # (cell, den, const numerator, {free cell: numerator}, free cells unplaced)
     pending = []
     for dep in system.dependencies:
         den, cnum, terms = dep.integer_form()
-        if terms:
-            if den not in (1, 2):
-                raise ValueError(f"order {n} has a dependent over {den}")  # unreachable
-            pending.append((dep.cell, den, cnum, dict(terms), {c for c, _ in terms}))
-            continue
-        value = cnum // den
-        if cnum % den or not 1 <= value <= n2 or value in dict(constants).values():
-            raise ValueError(f"order {n} forces an invalid cell")  # unreachable
-        constants.append((dep.cell, value))
-        for line, *_ in close(dep.cell):
-            need0[line] -= value
+        if den not in (1, 2):
+            raise ValueError(f"order {n} has a dependent over {den}")  # unreachable
+        pending.append((dep.cell, den, cnum, dict(terms), {c for c, _ in terms}))
 
-    # Constants are placed first.  Then the next trial cell is the free cell
-    # that completes the most pending dependents (those lacking only it),
-    # the lower cell on a tie; it is placed, then the dependents it
-    # completes, in the system's order.
+    # The next trial cell is the free cell that completes the most pending
+    # dependents (those lacking only it), the lower cell on a tie; it is
+    # placed, then the dependents it completes, in the system's order.  A
+    # dependent with no free-cell term lacks none, so trial 0 completes it.
     trials: list[int] = []
     tlines = []
     forced = []
@@ -167,7 +156,9 @@ def _plan(n: int) -> _Plan:
         pending = [dep for dep in pending if dep[4]]
         trials.append(tcell)
         tlines.append(tuple(line[:3] for line in close(tcell)))
-        forced.append(tuple((c, den, terms[tcell], close(c)) for c, den, _, terms, _ in deps))
+        forced.append(
+            tuple((c, den, terms.get(tcell, 0), close(c)) for c, den, _, terms, _ in deps)
+        )
         per_level.append(deps)
     deepest_first = [dep for deps in reversed(per_level) for dep in deps]
     later = len(deepest_first)
@@ -177,12 +168,11 @@ def _plan(n: int) -> _Plan:
         carry.append(tuple(dep[3].get(tcell, 0) for dep in deepest_first[:later]))
     return _Plan(
         tuple(trials),
-        tuple(constants),
         tuple(tlines),
         tuple(forced),
         tuple(dep[2] for dep in deepest_first),
         tuple(carry),
-        tuple(need0),
+        tuple(rhs for _, rhs in system.equations),
         tuple(sum(1 << x for x in range(2 - p, n2 + 1, 2)) for p in (0, 1)),
     )
 
@@ -239,6 +229,8 @@ def _orbit_floors(n: int, first: int) -> tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _checked_prefix(n: int, prefix: Sequence[int]) -> tuple[int, ...]:
+    if n not in SUPPORTED_ORDERS:
+        raise ValueError(f"unsupported order {n}; supported orders are {SUPPORTED_ORDERS}")
     prefix = tuple(prefix)
     n2 = n * n
     if len(prefix) > len(trial_cells(n)):
@@ -298,8 +290,8 @@ def _iter_generic(
       placed dependent);
     * each dependent firing at a level is (base + m*v)/den in the level's
       trial value v, so the v-window keeping every dependent inside 1..n^2
-      is intersected before the scan, and for den=2 only the parity of v
-      that divides is kept;
+      (every v or none when m = 0) is intersected before the scan, and for
+      den=2 only the parity of v that divides is kept;
     * a unit dependent (den 1, m = +-1) lands on base + v or base - v, so
       the v whose dependent would repeat a used value or v itself are
       dropped from the level's candidate mask as shifts of used or rused.
@@ -309,10 +301,10 @@ def _iter_generic(
 
     Trial cell k of the first len(prefix) takes the value prefix[k].
     Every cell has a floor its value must exceed, 0 unless `floors` names
-    it: entering level k + 1 sets the floors of the cells in floors[k] to
-    the value of trial cell k, so with the floors of _orbit_floors only
-    one image per orbit is emitted.  A trial scan starts at its cell's
-    floor + 1, and a dependent's v-window keeps it above its floor.
+    it: placing trial cell k sets the floors of the cells in floors[k] to
+    its value, so with the floors of _orbit_floors only one image per
+    orbit is emitted.  A trial scan starts at its cell's floor + 1, and a
+    dependent's v-window keeps it above its floor.
     """
     plan = _plan(n)
     n2 = n * n
@@ -327,21 +319,11 @@ def _iter_generic(
     parity_mask = plan.parity
 
     grid = [0] * n2
-    used0 = rused0 = 0
-    for cell, v in plan.constants:
-        grid[cell] = v
-        used0 |= 1 << v
-        rused0 |= 1 << mirror - v
-
     pins = [1 << v for v in prefix]
     floor = [0] * n2
-    floors_from: list[Sequence[int]] = [()] * (last + 2)
-    floors_from[1 : len(floors) + 1] = floors
-    tvals = [0] * (last + 1)
+    floored = [*floors, *[()] * (len(trials) - len(floors))]
 
     def place(level: int, used: int, rused: int, need: list[int], bases: Sequence[int]):
-        for cell in floors_from[level]:
-            floor[cell] = tvals[level - 1]
         tcell = trials[level]
         tlines = tlines_of[level]
         lo, hi = floor[tcell] + 1, n2
@@ -362,9 +344,11 @@ def _iter_generic(
             if m > 0:
                 vlo = -((base - low) // m)
                 vhi = (n2 * den - base) // m
-            else:
+            elif m:
                 vlo = -((base - n2 * den) // m)
                 vhi = (low - base) // m
+            else:  # the value is base / den whatever v is: every v or none
+                vlo, vhi = (lo, hi) if low <= base <= n2 * den else (1, 0)
             if vlo > lo:
                 lo = vlo
             if vhi < hi:
@@ -433,7 +417,8 @@ def _iter_generic(
                 break  # a line bound failed
             else:  # the trial and all its dependents are placed
                 grid[tcell] = v
-                tvals[level] = v
+                for cell in floored[level]:
+                    floor[cell] = v
                 if level == last:
                     yield tuple(grid)
                 else:
@@ -441,7 +426,7 @@ def _iter_generic(
                         level + 1, u, ru, a, [b + c * v for b, c in zip(bases, advance)]
                     )
 
-    yield from place(0, used0, rused0, list(plan.need0), plan.bases0)
+    yield from place(0, 0, 0, list(plan.need0), plan.bases0)
 
 
 def _order4_representatives() -> list[tuple[int, ...]]:
@@ -484,10 +469,6 @@ def _order4_by_orbits() -> tuple[tuple[int, ...], ...]:
 
 
 def _raw_iter(n: int, shard: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    if n not in SUPPORTED_ORDERS:
-        raise ValueError(
-            f"unsupported order {n}; supported orders are {SUPPORTED_ORDERS}"
-        )
     prefix = _checked_prefix(n, shard)
     if n == 4:
         squares = _order4_by_orbits()

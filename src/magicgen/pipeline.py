@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .catalog import (
+    FORMAT_LINE,
     CatalogRecord,
     classification_text,
     catalog_text,
@@ -110,7 +111,7 @@ def _histogram_str(hist: dict) -> str:
 
 
 def generators_text(gens: GeneratorCensus) -> str:
-    lines = ["# format=1", f"# kind=generators total={gens.total_generators}"]
+    lines = [FORMAT_LINE, f"# kind=generators total={gens.total_generators}"]
     for cls in gens.classes:
         lines.append(f"[class {cls.letter}]")
         lines.append(f"population={cls.population}")
@@ -332,7 +333,7 @@ def _trusted_count(path: Path, head: str) -> int | None:
 def _run_order5(out: Path, shards: Iterable[Sequence[int]] | None, log) -> PipelineSummary:
     plan = checked_plan(5, single_cell_shards(5) if shards is None else shards)
     cells = ",".join(cell_name(c, 5) for c in trial_cells(5)[: len(plan[0])])
-    manifest = ["# format=1", f"# kind=shard-plan order=5 cells={cells}"]
+    manifest = [FORMAT_LINE, f"# kind=shard-plan order=5 cells={cells}"]
     manifest.extend(f"shard {_shard_tag(s)}" for s in plan)
     write_atomic(out / "manifest.txt", "\n".join(manifest) + "\n")
 
@@ -341,7 +342,7 @@ def _run_order5(out: Path, shards: Iterable[Sequence[int]] | None, log) -> Pipel
         tag = _shard_tag(shard)
         path = out / "shards" / f"shard_{tag}.count"
         # A count holds only for the trial cells it was counted under.
-        head = f"# format=1\n# kind=shard-count order=5 cells={cells} prefix={tag}\ncount "
+        head = f"{FORMAT_LINE}\n# kind=shard-count order=5 cells={cells} prefix={tag}\ncount "
         count = _trusted_count(path, head)
         if count is not None:
             log(f"# stage=shard {tag} status=resumed")

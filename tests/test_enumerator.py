@@ -3,6 +3,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import random
+from fractions import Fraction
 from itertools import islice, permutations
 from operator import itemgetter
 
@@ -62,17 +63,20 @@ def test_plan_takes_line_targets_from_the_system(k, monkeypatch, fresh_plan):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_plan_line_bounds_match_a_recount(n):
-    # Constants are placed first, then per level the trial cell and the
-    # dependents it completes, in the plan's order; a line's bounds are the
-    # least and greatest sums of its cells still open after each cell, and a
-    # dependent's line also stores how many of its cells are still open.
+    # From nothing placed, per level the trial cell and then the dependents
+    # it completes, in the plan's order; a line's bounds are the least and
+    # greatest sums of its cells still open after each cell, and a
+    # dependent's line also stores how many of its cells are still open.  A
+    # dependent with no free-cell term fires at level 0.
     plan = _plan(n)
     system = build_system(n)
     lines = _tables(n).magic_lines
     n2 = n * n
     pos = {cell: i for i, cell in enumerate(plan.trials)}
-    placed = {cell for cell, _ in plan.constants}
-    assert placed == {dep.cell for dep in system.dependencies if not dep.terms}
+    placed: set[int] = set()
+    constant = {dep.cell for dep in system.dependencies if not dep.terms}
+    assert constant == ({4} if n == 3 else set())
+    assert constant <= {dep[0] for dep in plan.forced[0]}
 
     def recount(cell: int) -> list[tuple[int, int, int, int]]:
         placed.add(cell)
@@ -88,7 +92,7 @@ def test_plan_line_bounds_match_a_recount(n):
         fired = {
             dep.cell
             for dep in system.dependencies
-            if dep.terms and max(pos[c] for c, _ in dep.terms) == level
+            if max((pos[c] for c, _ in dep.terms), default=0) == level
         }
         assert {dep[0] for dep in plan.forced[level]} == fired
         for cell, _, _, flines in plan.forced[level]:
@@ -109,7 +113,7 @@ def test_carried_bases_equal_the_dependency_forms(n):
         assert len(bases) - len(advance) == len(plan.forced[level])
         for (cell, den, m, _), base in zip(plan.forced[level], bases[len(advance) :]):
             form_den, cnum, terms = forms[cell]
-            assert (den, m) == (form_den, dict(terms)[tcell])
+            assert (den, m) == (form_den, dict(terms).get(tcell, 0))
             assert base == cnum + sum(num * values[c] for c, num in terms if c != tcell)
         bases = [b + c * values[tcell] for b, c in zip(bases, advance)]
     assert bases == []
@@ -153,6 +157,42 @@ def test_unit_dependent_with_a_base_below_two_yields_nothing(monkeypatch):
     assert patched.forced[2][0][2] == -1
     monkeypatch.setattr(enumerator, "_plan", lambda n: patched)
     assert list(_iter_generic(4, ())) == []
+
+
+def test_order3_centre_is_a_level0_dependent():
+    # The centre's dependency has no free-cell term, so it fires with trial
+    # 0 at m = 0; level 0's bases are the last of bases0.
+    plan = _plan(3)
+    level0 = dict(zip((dep[0] for dep in plan.forced[0]), plan.bases0[-len(plan.forced[0]) :]))
+    assert [dep[:3] for dep in plan.forced[0] if dep[0] == 4] == [(4, 1, 0)]
+    assert level0[4] == 5
+    assert [sq.cells for sq in iter_squares(3)] == [
+        (2, 7, 6, 9, 5, 1, 4, 3, 8),
+        (2, 9, 4, 7, 5, 3, 6, 1, 8),
+        (4, 3, 8, 9, 5, 1, 2, 7, 6),
+        (4, 9, 2, 3, 5, 7, 8, 1, 6),
+        (6, 1, 8, 7, 5, 3, 2, 9, 4),
+        (6, 7, 2, 1, 5, 9, 8, 3, 4),
+        (8, 1, 6, 3, 5, 7, 4, 9, 2),
+        (8, 3, 4, 1, 5, 9, 6, 7, 2),
+    ]
+
+
+@pytest.mark.parametrize("centre", [0, 10])
+def test_constant_outside_the_value_range_yields_nothing(centre, monkeypatch, fresh_plan):
+    # A term-free dependent is checked like any other: its value must lie
+    # in 1..n^2, whatever trial 0 takes.
+    system = build_system(3)
+    moved = dataclasses.replace(
+        system,
+        dependencies=tuple(
+            dataclasses.replace(dep, const=Fraction(centre)) if dep.cell == 4 else dep
+            for dep in system.dependencies
+        ),
+    )
+    monkeypatch.setattr(enumerator, "build_system", lambda n: moved)
+    _plan.cache_clear()
+    assert list(_iter_generic(3, ())) == []
 
 
 def test_order3_matches_brute_force_oracle():
@@ -383,6 +423,20 @@ class TestShards:
         assert checked_plan(4, iter([[2, 3], (5, 1)])) == ((2, 3), (5, 1))
         with pytest.raises(ValueError, match="empty"):
             checked_plan(4, iter(()))
+
+    def test_checked_plan_refuses_an_unsupported_order(self, fresh_plan):
+        with pytest.raises(ValueError, match="unsupported order 6"):
+            checked_plan(6, [(1,)])
+        assert _plan.cache_info().currsize == 0
+
+    def test_unsupported_order_is_refused_before_a_pool_starts(self, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise RuntimeError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        with pytest.raises(ValueError, match="unsupported order 6"):
+            next(enumerate_shards_parallel(6, [(1,)]))
 
     def test_order4_starts_no_pool(self, monkeypatch):
         # Order-4 shards are slices of the calling process's catalog, and
