@@ -47,11 +47,11 @@ checked pairwise distinct and sorted by trial values.  A plain search
 emits in exactly that order, so the stream is unchanged.  At order 5
 every map fixes the centre, so a square with 1 there has no such image
 and the anchoring does not carry over as it stands.  The expanded catalog
-is kept for the life of the process, and an order-4 shard is the part of
-it whose leading trial values equal the shard's prefix.  A shard's
-subtree holds exactly those squares, and the catalog is sorted by trial
-values, so they form a contiguous slice found by binary search: each
-shard emits what a search of its subtree would, in the same order.
+is built as Squares, each validated once, and kept for the process's life.
+An order-4 shard yields its objects whose leading trial values equal the
+shard's prefix.  A shard's subtree holds exactly those squares, and the
+catalog is sorted by trial values, so they form a contiguous slice found
+by binary search: each shard emits what a search of its subtree would.
 Slicing costs far less than pickling the slice back from a worker, so
 enumerate_shards_parallel serves order-4 shards in the calling process
 and sends only order-3 and order-5 shards, which are searches, to worker
@@ -450,14 +450,14 @@ def _order4_representatives() -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _order4_by_orbits() -> tuple[tuple[int, ...], ...]:
+def _order4_by_orbits() -> tuple[Square, ...]:
     """Every order-4 square, in emission order, from one square per orbit.
 
     Each of the 220 representatives of _order4_representatives is mapped
     through the 32 cell maps, the 7,040 images are checked pairwise
-    distinct and sorted by trial values, the plain search's order.  Built
-    once per process on first use; every order-4 run, sharded or not,
-    reads this tuple.
+    distinct, sorted by trial values, the plain search's order, and built
+    as Squares, so each is validated once.  Built once per process on
+    first use; every order-4 run, sharded or not, yields these objects.
     """
     images = [itemgetter(*m) for m in _line_group(4)]
     squares = [image(cells) for cells in _order4_representatives() for image in images]
@@ -465,36 +465,34 @@ def _order4_by_orbits() -> tuple[tuple[int, ...], ...]:
         # Unreachable while the maps form a group acting freely.
         raise RuntimeError("orbit images of the order-4 search repeat a square")
     squares.sort(key=itemgetter(*trial_cells(4)))
-    return tuple(squares)
-
-
-def _raw_iter(n: int, shard: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    prefix = _checked_prefix(n, shard)
-    if n == 4:
-        squares = _order4_by_orbits()
-        trial_values = itemgetter(*trial_cells(4))
-
-        def head(cells: tuple[int, ...]) -> tuple[int, ...]:
-            return trial_values(cells)[: len(prefix)]
-
-        lo = bisect_left(squares, prefix, key=head)
-        return iter(squares[lo : bisect_right(squares, prefix, lo, key=head)])
-    return _iter_generic(n, prefix)
+    return tuple(Square(4, cells) for cells in squares)
 
 
 def iter_squares(n: int, shard: Sequence[int] = ()) -> Iterator[Square]:
     """Stream every normal magic square of order n exactly once.
 
     With a shard, streams exactly the squares whose leading trial cells
-    carry the shard's values.
+    carry the shard's values.  Order 4 yields the cached catalog's slice.
     """
-    for cells in _raw_iter(n, shard):
-        yield Square(n, cells)
+    prefix = _checked_prefix(n, shard)
+    if n != 4:
+        for cells in _iter_generic(n, prefix):
+            yield Square(n, cells)
+        return
+    squares = _order4_by_orbits()
+    trial_values = itemgetter(*trial_cells(4))
+
+    def head(square: Square) -> tuple[int, ...]:
+        return trial_values(square.cells)[: len(prefix)]
+
+    lo = bisect_left(squares, prefix, key=head)
+    yield from squares[lo : bisect_right(squares, prefix, lo, key=head)]
 
 
 def count_squares(n: int, shard: Sequence[int] = ()) -> int:
-    """Count without materializing Square objects."""
-    return sum(1 for _ in _raw_iter(n, shard))
+    """Count; no Square is built beyond order 4's cached catalog."""
+    squares = iter_squares(n, shard) if n == 4 else _iter_generic(n, _checked_prefix(n, shard))
+    return sum(1 for _ in squares)
 
 
 def single_cell_shards(n: int) -> tuple[tuple[int], ...]:
@@ -516,7 +514,7 @@ def shard_for(n: int, cells: Sequence[int], values: Sequence[int]) -> tuple[int,
 
 def _shard_worker(args: tuple[int, tuple[int, ...], int | None]) -> list[tuple[int, ...]]:
     n, prefix, limit = args
-    return list(islice(_raw_iter(n, prefix), limit))
+    return list(islice(_iter_generic(n, prefix), limit))
 
 
 def enumerate_shards_parallel(

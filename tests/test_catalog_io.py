@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import io
 import os
+import sys
 import threading
+import time
 import tracemalloc
 from itertools import islice
 
@@ -22,7 +24,7 @@ from magicgen.catalog import (
 )
 from magicgen.cli import main
 from magicgen.enumerator import iter_squares
-from magicgen.squares import encode_square, parse_square
+from magicgen.squares import Square, encode_square, is_normal_magic, parse_square
 
 
 @pytest.fixture
@@ -109,11 +111,13 @@ def test_verify_catalog_counts_past_the_problem_cap(tmp_path, capsys):
     assert capsys.readouterr().err == "# count=55\n"
 
 
-# Faults by data line.  verify_catalog checks line sums in batches of up
-# to 1,024 consecutive parsed squares; with no problem to end a batch early
-# they would be data lines 0-1027, 1028-2054 and 2056-2599, so both of
-# those boundaries have faults on either side.  "again" repeats a non-magic
-# square, so line 2056 has two problems.
+# Faults by data line.  verify_catalog checks line sums in batches of
+# about 1,024 consecutive parsed squares.  The faults cluster where batches
+# of exactly 1,024 would end (data lines 1027 and 2054, had no problem
+# ended one early), and each cluster lies inside one run of the file's
+# 8,192-character chunks (data lines 912-1063 and 1976-2127), which is
+# walked a line at a time.  "again" repeats a non-magic square, so line
+# 2056 has two problems.
 _FAULTS = {
     1018: "count", 1020: "word", 1022: "range", 1023: "swap", 1024: "repeat",
     1025: "copy", 1026: "again", 1027: "spelled", 1028: "swap", 1029: "copy", 1030: "zero",
@@ -246,6 +250,207 @@ def test_verify_holds_only_the_reported_problems(tmp_path):
     assert peak < 1 << 20
 
 
+def test_verify_memory_is_the_seen_set_plus_a_megabyte(tmp_path, catalog4):
+    # Reading in bounded chunks keeps verify_catalog's peak at the set of
+    # squares seen plus about one chunk and one line-sum batch.
+    path = tmp_path / "catalog4.txt"
+    write_atomic(path, catalog_text(catalog4, 4))
+    seen = {sq.cells for sq in catalog4}
+    seen_size = sys.getsizeof(seen) + sum(map(sys.getsizeof, seen))
+    tracemalloc.start()
+    try:
+        verdict = verify_catalog(path, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == CatalogVerdict(True, 7040)
+    assert peak < seen_size + (1 << 20)
+
+
+# Catalogs are read in chunks of catalog._CHUNK characters, and a run of
+# data lines never spans two.  The line-at-a-time readers below are the
+# oracle: what the chunked readers must return or raise, whatever the
+# chunk size.
+
+def _oracle_lines(path, order):
+    """(line, order) for each data line, as the readers took them one by one."""
+    with open(path) as fh:  # universal newlines, as the readers open it
+        first, *lines = fh.read().split("\n")
+    if first != "# format=1":
+        raise ValueError(f"{path}: missing '# format=1' header")
+    for line in lines:
+        if line.startswith("# order="):
+            try:
+                declared = int(line[len("# order="):])
+            except ValueError:
+                raise ValueError(f"{path}: bad order line {line!r}") from None
+            if order is not None and declared != order:
+                raise ValueError(f"{path}: catalog of order {declared}, not order {order}")
+            order = declared
+        elif line and not line.startswith("#"):
+            yield line, order
+
+
+def _outcome(read, *args):
+    """What a reader returns, or the message of the ValueError it raises."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _oracle_read(path, order):
+    return [(sq.order, sq.cells) for sq in (parse_square(*x) for x in _oracle_lines(path, order))]
+
+
+def _oracle_verify(path, order):
+    problems, seen, count = [], set(), 0
+    for lineno, (line, n) in enumerate(_oracle_lines(path, order)):
+        try:
+            square = parse_square(line, n)
+        except ValueError as exc:
+            problems.append(f"line {lineno}: {exc}")
+            continue
+        count += 1
+        if not is_normal_magic(square):
+            problems.append(f"line {lineno}: square is not magic")
+        if square.cells in seen:
+            problems.append(f"line {lineno}: duplicate square")
+        seen.add(square.cells)
+    shown = problems[:20]
+    if len(problems) > 20:
+        shown.append(f"... {len(problems) - 20} further problems suppressed")
+    return CatalogVerdict(not problems, count, tuple(shown))
+
+
+def _read_cells(path, order):
+    return [(sq.order, sq.cells) for sq in read_catalog(path, order)]
+
+
+_SQUARES3 = [encode_square(sq) for sq in iter_squares(3)]
+_T0 = _SQUARES3[0].split()
+# Each feature goes between the third and fourth order-3 square.
+_FEATURES = {
+    "order line": "# order=3",
+    "other order": "# order=4",
+    "bad order": "# order=x",
+    "comment": "# a comment",
+    "blank": "",
+    "whitespace": " \t ",
+    "spelled": " ".join(["0" + _T0[0], *_T0[1:]]),
+    "word": " ".join(["x5", *_T0[1:]]),
+    "duplicate": _SQUARES3[0],
+    "not magic": " ".join([_T0[1], _T0[0], *_T0[2:]]),
+}
+
+
+@pytest.mark.parametrize("feature", sorted(_FEATURES))
+@pytest.mark.parametrize("header", ["# order=3", None])
+@pytest.mark.parametrize("ending", ["lf", "crlf", "no final newline"])
+def test_chunk_boundaries_match_the_line_oracle(tmp_path, monkeypatch, feature, header, ending):
+    # Every chunk size from one character to the whole file, so each
+    # feature line ends a chunk, starts one, and sits inside one.
+    lines = ["# format=1", *([header] if header else []), *_SQUARES3[:3],
+             _FEATURES[feature], *_SQUARES3[3:]]
+    text = "\n".join(lines) + "\n"
+    if ending == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif ending == "no final newline":
+        text = text[:-1]
+    path = tmp_path / "catalog.txt"
+    path.write_bytes(text.encode())
+    for order in (None, 3):
+        expected_read = _outcome(_oracle_read, path, order)
+        expected_verdict = _outcome(_oracle_verify, path, order)
+        for chunk in range(1, len(text) + 2):
+            monkeypatch.setattr(catalog, "_CHUNK", chunk)
+            assert _outcome(_read_cells, path, order) == expected_read, (order, chunk)
+            assert _outcome(verify_catalog, path, order) == expected_verdict, (order, chunk)
+
+
+_OK = CatalogVerdict(True, 8)
+_NON_INT = "non-integer token 'x5'"
+_OTHER = "expected 16 values for order 4, got 9"
+# What the readers make of each feature, with the "# order=3" header and
+# without it where that differs: read_catalog's square count or error,
+# and verify_catalog's verdict or error.
+_FEATURE_PINS = {
+    ("bad order", None): ("{path}: bad order line '# order=x'",) * 2,
+    ("blank", None): (8, _OK),
+    ("comment", None): (8, _OK),
+    ("duplicate", None): (9, CatalogVerdict(False, 9, ("line 3: duplicate square",))),
+    ("not magic", None): (9, CatalogVerdict(False, 9, ("line 3: square is not magic",))),
+    ("order line", None): (8, _OK),
+    ("other order", "# order=3"): ("{path}: catalog of order 4, not order 3",) * 2,
+    ("other order", None): (
+        _OTHER, CatalogVerdict(False, 3, tuple(f"line {i}: {_OTHER}" for i in range(3, 8)))
+    ),
+    ("spelled", None): (9, CatalogVerdict(False, 9, ("line 3: duplicate square",))),
+    ("whitespace", "# order=3"): (
+        "expected 9 values for order 3, got 0",
+        CatalogVerdict(False, 8, ("line 3: expected 9 values for order 3, got 0",)),
+    ),
+    ("whitespace", None): (
+        "token count 0 is not the square of an order >= 3",
+        CatalogVerdict(False, 8, ("line 3: token count 0 is not the square of an order >= 3",)),
+    ),
+    ("word", None): (_NON_INT, CatalogVerdict(False, 8, (f"line 3: {_NON_INT}",))),
+}
+
+
+@pytest.mark.parametrize("feature", sorted(_FEATURES))
+@pytest.mark.parametrize("header", ["# order=3", None])
+def test_chunk_features_pinned(tmp_path, feature, header):
+    lines = ["# format=1", *([header] if header else []), *_SQUARES3[:3],
+             _FEATURES[feature], *_SQUARES3[3:]]
+    path = tmp_path / "catalog.txt"
+    path.write_text("\n".join(lines) + "\n")
+    read, verdict = _FEATURE_PINS.get((feature, header)) or _FEATURE_PINS[feature, None]
+    expected = [
+        f"ValueError: {pin.format(path=path)}" if isinstance(pin, str) else pin
+        for pin in (read, verdict)
+    ]
+    outcome = _outcome(read_catalog, path)
+    assert [outcome if isinstance(outcome, str) else len(outcome),
+            _outcome(verify_catalog, path)] == expected
+
+
+def _with_and_without_order_line(tmp_path, squares):
+    text = catalog_text(squares, 4)
+    paths = {"header": tmp_path / "header.txt", "headerless": tmp_path / "headerless.txt"}
+    paths["header"].write_text(text)
+    paths["headerless"].write_text(text.replace("# order=4\n", ""))
+    return paths
+
+
+def test_headerless_catalog_is_read_a_run_at_a_time(tmp_path, monkeypatch, catalog4):
+    # With no `# order=N` line a run's order is its first line's, so a
+    # headerless catalog takes the run path too: verify_catalog builds no
+    # Square, and neither reader parses a line on its own.
+    path = _with_and_without_order_line(tmp_path, catalog4)["headerless"]
+    built, parsed = [], []
+    original_init, original_parse = Square.__post_init__, catalog.parse_square
+    monkeypatch.setattr(Square, "__post_init__", lambda sq: (built.append(sq), original_init(sq)))
+    monkeypatch.setattr(catalog, "parse_square", lambda *a: (parsed.append(a), original_parse(*a))[1])
+    assert verify_catalog(path) == CatalogVerdict(True, 7040)
+    assert built == parsed == []
+    assert [sq.cells for sq in read_catalog(path)] == [sq.cells for sq in catalog4]
+    assert len(built) == 7040 and parsed == []
+
+
+def test_headerless_catalog_reads_as_fast_as_a_headed_one(tmp_path, catalog4):
+    # 7,040 lines each way; the best of five interleaved runs per reader.
+    paths = _with_and_without_order_line(tmp_path, catalog4)
+    for read in (read_catalog, verify_catalog):
+        best = dict.fromkeys(paths, float("inf"))
+        for _ in range(5):
+            for name, path in paths.items():
+                t0 = time.perf_counter()
+                read(path)
+                best[name] = min(best[name], time.perf_counter() - t0)
+        assert best["headerless"] < 1.3 * best["header"], (read.__name__, best)
+
+
 def _mixed_catalog(tmp_path):
     """An order-4 header over 8 order-3 squares and 3 order-4 squares."""
     path = tmp_path / "mixed.txt"
@@ -343,6 +548,20 @@ def test_classification_text_encodes_each_square_once(monkeypatch):
         encoded.clear()
         classification_text(RECORDS, fmt)
         assert encoded == [r.square.cells for r in RECORDS]
+
+
+def test_classification_order_line_is_an_order_line(tmp_path):
+    # Classification files are read through the catalogs' line source, so
+    # an `# order=N` line in one is read as an order line, never as a
+    # comment.  No writer puts one there.
+    head, rest = classification_text(RECORDS, "tsv").split("\n", 1)
+    path = tmp_path / "classes.tsv"
+    path.write_text(f"{head}\n# order=4\n{rest}")
+    assert read_classification(path) == RECORDS
+    path.write_text(f"{head}\n# order=x\n{rest}")
+    with pytest.raises(ValueError) as info:
+        read_classification(path)
+    assert str(info.value) == f"{path}: bad order line '# order=x'"
 
 
 def test_malformed_kv_row_rejected(tmp_path):

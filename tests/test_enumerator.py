@@ -27,7 +27,7 @@ from magicgen.enumerator import (
     single_cell_shards,
     trial_cells,
 )
-from magicgen.squares import _is_magic_grid, _tables, is_normal_magic
+from magicgen.squares import Square, _is_magic_grid, _tables, is_normal_magic
 
 
 def test_trial_order_matches_design():
@@ -312,6 +312,31 @@ class TestOrbitLeastOrder4:
         monkeypatch.setattr(enumerator, "_line_group", lambda n: maps[:1] + maps[:-1])
         with pytest.raises(RuntimeError, match="repeat a square"):
             _order4_by_orbits.__wrapped__()
+
+    def test_order4_squares_are_validated_once_per_process(self, monkeypatch):
+        # Building the catalog validates each of its 7,040 squares; every
+        # later order-4 pass, whole or sharded, yields those very objects.
+        cached = _order4_by_orbits()
+        validated = []
+        original = Square.__post_init__
+
+        def counting(square):
+            validated.append(square.cells)
+            original(square)
+
+        monkeypatch.setattr(Square, "__post_init__", counting)
+        built = _order4_by_orbits.__wrapped__()
+        assert len(validated) == 7040
+        assert [sq.cells for sq in built] == [sq.cells for sq in cached]
+        validated.clear()
+        whole = list(iter_squares(4))
+        sharded = [sq for s in single_cell_shards(4) for sq in iter_squares(4, s)]
+        served = list(enumerate_shards_parallel(4, single_cell_shards(4)))
+        assert sum(count_squares(4, s) for s in single_cell_shards(4)) == 7040
+        assert validated == []
+        for squares in (whole, sharded, served):
+            assert len(squares) == 7040
+            assert all(sq is own for sq, own in zip(squares, cached))
 
 
 class TestShards:
